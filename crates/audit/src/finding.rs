@@ -163,6 +163,44 @@ pub struct Finding {
     pub caught: Vec<TaintEntry>,
 }
 
+/// Which execution engine one audit cycle ran on.
+///
+/// The audit process has one engine, so every cycle reports
+/// [`ExecutorMode::Serial`]. The type and its other variants remain
+/// only because the end-to-end benchmark still counts cycles per mode
+/// (`audit.exec_*`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ExecutorMode {
+    /// The serial engine.
+    #[default]
+    Serial,
+    /// A sharded worker-pool engine (no longer built).
+    Parallel,
+    /// The serial engine chosen in place of a worker pool (no longer
+    /// built).
+    SerialFallback,
+}
+
+impl ExecutorMode {
+    /// Short name for logs and bench artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecutorMode::Serial => "serial",
+            ExecutorMode::Parallel => "parallel",
+            ExecutorMode::SerialFallback => "serial-fallback",
+        }
+    }
+}
+
+/// Per-cycle executor bookkeeping carried on the audit report. Its
+/// mode is always [`ExecutorMode::Serial`]; it remains because the
+/// end-to-end benchmark counts `audit.exec_*`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ExecSummary {
+    /// Which engine ran the cycle.
+    pub mode: ExecutorMode,
+}
+
 /// The outcome of one audit cycle.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AuditReport {
@@ -175,9 +213,8 @@ pub struct AuditReport {
     /// The escalation policy concluded that localized repair is not
     /// holding: the manager should restart the controller.
     pub restart_requested: bool,
-    /// Which execution engine ran the cycle and how the work was
-    /// batched (serial, parallel, or governor-chosen serial fallback).
-    pub exec: crate::executor::ExecSummary,
+    /// Which execution engine ran the cycle (always the serial one).
+    pub exec: ExecSummary,
     /// Tables actually screened this cycle, in execution order.
     pub tables_audited: Vec<TableId>,
     /// Tables shed because the CPU budget ran dry; they are re-queued
@@ -258,5 +295,13 @@ mod tests {
         assert_eq!(a.tables_audited, vec![TableId(1), TableId(2), TableId(3)]);
         assert_eq!(a.tables_shed, vec![TableId(4)]);
         assert!(a.degraded);
+    }
+
+    #[test]
+    fn executor_mode_names() {
+        assert_eq!(ExecutorMode::Serial.name(), "serial");
+        assert_eq!(ExecutorMode::Parallel.name(), "parallel");
+        assert_eq!(ExecutorMode::SerialFallback.name(), "serial-fallback");
+        assert_eq!(ExecSummary::default().mode, ExecutorMode::Serial);
     }
 }

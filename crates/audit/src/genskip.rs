@@ -46,30 +46,6 @@ impl GenSkip {
         }
     }
 
-    /// Whether the next [`GenSkip::begin_pass`] over `table` will be a
-    /// forced full sweep, *without* advancing the pass counter. The
-    /// parallel executor peeks here while planning read-only screens;
-    /// the counter advances exactly once when the pass is committed
-    /// (or run serially).
-    pub fn peek_due_full(&self, table: TableId, period: u32) -> bool {
-        period > 0 && self.tables.get(&table).map_or(0, |st| st.passes_since_full) + 1 >= period
-    }
-
-    /// The verified-clean generations for records `0..record_count`,
-    /// padded with the never-verified sentinel. Screen jobs test slots
-    /// with [`GenSkip::slot_is_clean`].
-    pub fn clean_slice(&self, table: TableId, record_count: usize) -> Vec<u64> {
-        let mut v = self.tables.get(&table).map(|st| st.last_clean.clone()).unwrap_or_default();
-        v.resize(record_count, NEVER_VERIFIED);
-        v
-    }
-
-    /// [`GenSkip::is_clean`] over a raw slot value from
-    /// [`GenSkip::clean_slice`].
-    pub fn slot_is_clean(slot: u64, gen: u64) -> bool {
-        slot == gen && slot != NEVER_VERIFIED
-    }
-
     /// True when the record was verified clean at exactly generation
     /// `gen` (and so cannot have changed since).
     pub fn is_clean(&self, table: TableId, index: u32, gen: u64) -> bool {

@@ -1,48 +1,19 @@
 //! The audit process: main thread, triggers, element registry.
-//!
-//! # Parallel execution
-//!
-//! With [`ParallelConfig::workers`] above one, a cycle's detection work
-//! is sharded across a deterministic worker pool:
-//!
-//! 1. the owner takes an epoch-stamped [`wtnc_db::DbSnapshot`] and
-//!    freezes the lock set;
-//! 2. every read-only *screen* — static CRC blocks, header shards,
-//!    range shards, semantic walk shards — is dispatched in **one**
-//!    pool invocation; results land in slots indexed by shard, never
-//!    by completion order;
-//! 3. the owner then *applies* verdicts strictly in the serial engine's
-//!    element order. A clean screen commits the serial pass's exact
-//!    bookkeeping; a suspect screen discards the shard results and
-//!    re-runs the serial element on the live database, producing
-//!    byte-identical findings and repairs. Once any repair mutates the
-//!    database the snapshot epoch goes stale and every remaining unit
-//!    falls back to the serial element automatically.
-//!
-//! Findings, repairs, and the end-of-cycle database image are therefore
-//! bit-identical for every worker count — parallelism only changes
-//! wall-clock time.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use wtnc_db::{crc32, Database, DbApi, DbRead, RecordRef, TableId, TaintEntry};
+use wtnc_db::{Database, DbApi, RecordRef, TableId, TaintEntry};
 use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 
 use crate::budget::{BudgetConfig, TokenBucket};
-use crate::executor::{
-    coalesce_weights, shard_count, split_range, ExecSummary, Executor, ExecutorMode,
-    ParallelConfig, Task,
-};
 use crate::finding::{AuditElementKind, AuditReport, Finding, RecoveryAction};
 use crate::heartbeat::HeartbeatElement;
-use crate::links::{link_closure, link_field};
 use crate::progress::{ProgressConfig, ProgressIndicator};
-use crate::ranged::{ruled_fields, screen_ranges, RangeAudit, RangeScreen};
+use crate::ranged::RangeAudit;
 use crate::scheduler::{AuditScheduler, RoundRobinScheduler};
-use crate::semantic::{screen_walks, SemScreen, SemanticAudit, WalkWitness};
+use crate::semantic::SemanticAudit;
 use crate::static_data::StaticDataAudit;
-use crate::structural::{screen_headers, StructScreen, StructuralAudit};
+use crate::structural::StructuralAudit;
 
 /// How much of the database one periodic tick covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,41 +45,6 @@ pub trait AuditElement {
     ) -> u64;
 }
 
-/// What one worker-pool screen job returns; one enum so a whole cycle
-/// needs a single dispatch.
-enum ShardResult {
-    /// Per-block CRCs for one group of static re-hash jobs.
-    Crc(Vec<u32>),
-    Struct(StructScreen),
-    Range(RangeScreen),
-    Sem(SemScreen),
-}
-
-/// The semantic element's planned work for one table.
-enum SemUnit {
-    /// No link field: the serial element is a no-op for this table.
-    None,
-    /// Whole-table witness skip (commit advances the pass counter).
-    Skip,
-    /// Walk shards at the given task slots.
-    Walk { tasks: std::ops::Range<usize>, closure_sig: u64 },
-}
-
-/// One table's planned screens: which task slots belong to which
-/// element, so the owner can apply verdicts in the legacy order.
-struct Unit {
-    table: TableId,
-    /// False when the catalog does not know the table — the serial
-    /// loop handles it (every element no-ops).
-    known: bool,
-    record_count: u32,
-    struct_tasks: std::ops::Range<usize>,
-    /// `None` when the table has no ruled fields (the serial element
-    /// returns before any bookkeeping).
-    range_tasks: Option<std::ops::Range<usize>>,
-    sem: SemUnit,
-}
-
 /// Audit-process configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditConfig {
@@ -134,14 +70,6 @@ pub struct AuditConfig {
     /// incremental mode, bounding the window for anything that could
     /// slip past the tracking (0 = never force a full sweep).
     pub full_rescan_period: u32,
-    /// Parallel execution tuning; `workers == 1` (the default) keeps
-    /// the serial engine untouched.
-    pub parallel: ParallelConfig,
-    /// In [`AuditScope::OneTable`] mode, up to this many tables with
-    /// pairwise-disjoint link closures are co-scheduled per cycle so a
-    /// worker pool has independent work. `1` (the default) preserves
-    /// the classic one-table-per-tick behavior.
-    pub coschedule_tables: u32,
     /// CPU isolation: a token-bucket budget on virtual time (one token
     /// per record screened). When set, a cycle whose planned tables
     /// exceed the available tokens sheds the excess
@@ -163,8 +91,6 @@ impl Default for AuditConfig {
             event_triggered: false,
             incremental: true,
             full_rescan_period: 8,
-            parallel: ParallelConfig::default(),
-            coschedule_tables: 1,
             budget: None,
         }
     }
@@ -185,7 +111,6 @@ pub struct AuditProcess {
     event_tables: BTreeSet<TableId>,
     catch_log: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     escalation: crate::EscalationPolicy,
-    executor: Executor,
     cycles: u64,
     deferred: bool,
     bucket: Option<TokenBucket>,
@@ -234,7 +159,6 @@ impl AuditProcess {
             event_tables: BTreeSet::new(),
             catch_log: Vec::new(),
             escalation: crate::EscalationPolicy::new(crate::EscalationConfig::disabled()),
-            executor: Executor::default(),
             cycles: 0,
             deferred: false,
             bucket: config.budget.map(TokenBucket::new),
@@ -377,10 +301,7 @@ impl AuditProcess {
             AuditScope::Full => db.catalog().tables().map(|t| t.id).collect(),
             AuditScope::OneTable => {
                 let mut set: BTreeSet<TableId> = std::mem::take(&mut self.event_tables);
-                let max = self.config.coschedule_tables.max(1) as usize;
-                for t in self.scheduler.next_tables(db, max) {
-                    set.insert(t);
-                }
+                set.insert(self.scheduler.next_table(db));
                 set.into_iter().collect()
             }
         };
@@ -392,13 +313,7 @@ impl AuditProcess {
         // never charged, so supervision preempts bulk screens.
         let (tables, shed) = self.plan_budget(db, fresh, pending_events, now);
 
-        let mut records_checked = 0u64;
-        let exec = if self.config.parallel.workers > 1 {
-            self.run_elements_parallel(db, api, now, &tables, &mut findings, &mut records_checked)
-        } else {
-            self.run_elements_serial(db, api, now, &tables, &mut findings, &mut records_checked);
-            ExecSummary::default()
-        };
+        let records_checked = self.run_elements(db, api, now, &tables, &mut findings);
 
         // Settle the density signal: a dynamic table that was just
         // audited with no findings has its accumulated dirty bits
@@ -471,7 +386,7 @@ impl AuditProcess {
             records_checked,
             tables_checked: tables.len() as u64,
             restart_requested,
-            exec,
+            exec: Default::default(),
             degraded: !shed.is_empty(),
             tables_audited: tables,
             tables_shed: shed,
@@ -581,18 +496,19 @@ impl AuditProcess {
         self.bucket.as_ref()
     }
 
-    /// Serial element execution: the classic engine, byte-for-byte.
-    fn run_elements_serial(
+    /// Runs the audit elements over `tables` in the fixed order: the
+    /// static audit (the whole static region once per full cycle, or
+    /// the scoped chunks in one-table mode), then per table the
+    /// structural, range, semantic and custom elements. Returns the
+    /// number of records checked.
+    fn run_elements(
         &mut self,
         db: &mut Database,
         api: &DbApi,
         now: SimTime,
         tables: &[TableId],
         findings: &mut Vec<Finding>,
-        records_checked: &mut u64,
-    ) {
-        // Static audit: whole static region once per full cycle, or the
-        // scoped chunks in one-table mode.
+    ) -> u64 {
         match self.config.scope {
             AuditScope::Full => self.static_audit.audit(db, now, findings),
             AuditScope::OneTable => {
@@ -601,415 +517,20 @@ impl AuditProcess {
                 }
             }
         }
-        self.run_tables_serial(db, api, now, tables, findings, records_checked);
-    }
-
-    /// The per-table element loop (everything after the static audit),
-    /// in the fixed legacy order.
-    fn run_tables_serial(
-        &mut self,
-        db: &mut Database,
-        api: &DbApi,
-        now: SimTime,
-        tables: &[TableId],
-        findings: &mut Vec<Finding>,
-        records_checked: &mut u64,
-    ) {
+        let locked = |r: RecordRef| api.locks().holder(r).is_some();
+        let mut records_checked = 0u64;
         for &table in tables {
             // Reset this table's per-cycle error counter now that the
             // scheduler has consumed it.
             db.reset_error_cycle_table(table);
-            *records_checked += self.structural.audit_table(db, table, now, findings);
-            let locked = |r: RecordRef| api.locks().holder(r).is_some();
-            *records_checked += self.range.audit_table(db, table, &locked, now, findings);
-            *records_checked += self.semantic.audit_table(db, table, &locked, now, findings);
+            records_checked += self.structural.audit_table(db, table, now, findings);
+            records_checked += self.range.audit_table(db, table, &locked, now, findings);
+            records_checked += self.semantic.audit_table(db, table, &locked, now, findings);
             for element in &mut self.extra {
-                *records_checked += element.audit_table(db, table, &locked, now, findings);
+                records_checked += element.audit_table(db, table, &locked, now, findings);
             }
         }
-    }
-
-    /// Parallel element execution: screen every read-only check over a
-    /// consistent snapshot on the worker pool, then apply the verdicts
-    /// on this thread in the serial engine's exact order. Falls back to
-    /// the serial loop — and says so in the returned summary — when the
-    /// governor (or the `min_shard_bytes` size gate) decides sharding
-    /// cannot win on this host or this cycle.
-    fn run_elements_parallel(
-        &mut self,
-        db: &mut Database,
-        api: &DbApi,
-        now: SimTime,
-        tables: &[TableId],
-        findings: &mut Vec<Finding>,
-        records_checked: &mut u64,
-    ) -> ExecSummary {
-        let workers = self.config.parallel.workers;
-        let min_shard_bytes = self.config.parallel.min_shard_bytes;
-
-        // Estimate the cycle's scan span: static blocks to re-hash
-        // (full scope only — scoped static runs serially below) plus
-        // each table's record span once per applicable screen.
-        let full_static_plan =
-            (self.config.scope == AuditScope::Full).then(|| self.static_audit.plan(db));
-        let mut estimated: usize =
-            full_static_plan.as_ref().map_or(0, |p| p.jobs.iter().map(|j| j.len).sum());
-        for &t in tables {
-            if let Ok(tm) = db.catalog().table(t) {
-                let span = tm.record_size * tm.def.record_count as usize;
-                let mut screens = 1usize; // structural always scans
-                if !ruled_fields(db.catalog(), t).is_empty() {
-                    screens += 1;
-                }
-                if link_field(db.catalog(), t).is_some() {
-                    screens += 1;
-                }
-                estimated += span * screens;
-            }
-        }
-        if self.executor.decide(&self.config.parallel, estimated) != ExecutorMode::Parallel {
-            self.run_elements_serial(db, api, now, tables, findings, records_checked);
-            return ExecSummary {
-                mode: ExecutorMode::SerialFallback,
-                workers,
-                estimated_bytes: estimated,
-                ..ExecSummary::default()
-            };
-        }
-
-        // One-table scope checks its static chunks serially *before*
-        // the snapshot: a catalog repair here must be visible to every
-        // screen.
-        let static_plan = match self.config.scope {
-            AuditScope::Full => full_static_plan,
-            AuditScope::OneTable => {
-                for &t in tables {
-                    self.static_audit.audit_table(db, t, now, findings);
-                }
-                None
-            }
-        };
-
-        // Freeze the cycle's read state: snapshot plus lock set (locks
-        // cannot change while the audit owns the controller).
-        let snap = Arc::new(db.snapshot());
-        let locked: Arc<BTreeSet<RecordRef>> =
-            Arc::new(api.locks().held().into_iter().map(|(r, _)| r).collect());
-        let epoch = snap.epoch();
-
-        // ----- Build every screen task (one pool dispatch). Each task
-        // carries its estimated byte weight so the executor can
-        // coalesce adjacent tasks into `min_shard_bytes`-amortized
-        // batches. -----
-        let mut tasks: Vec<(usize, Task<ShardResult>)> = Vec::new();
-
-        // Static re-hash jobs are grouped by accumulated block bytes
-        // (not job count): adjacent dirty blocks coalesce until the
-        // shard floor is genuinely amortized.
-        let static_groups: Vec<std::ops::Range<usize>> = static_plan
-            .as_ref()
-            .map(|p| {
-                let lens: Vec<usize> = p.jobs.iter().map(|j| j.len).collect();
-                coalesce_weights(&lens, min_shard_bytes)
-            })
-            .unwrap_or_default();
-        for g in &static_groups {
-            let snap = Arc::clone(&snap);
-            let spans: Vec<(usize, usize)> = static_plan.as_ref().expect("groups imply plan").jobs
-                [g.clone()]
-            .iter()
-            .map(|j| (j.offset, j.len))
-            .collect();
-            let weight: usize = spans.iter().map(|&(_, l)| l).sum();
-            tasks.push((
-                weight,
-                Box::new(move || {
-                    ShardResult::Crc(
-                        spans.iter().map(|&(o, l)| crc32(&snap.region()[o..o + l])).collect(),
-                    )
-                }),
-            ));
-        }
-
-        let mut units: Vec<Unit> = Vec::new();
-        for &table in tables {
-            let Ok(tm) = db.catalog().table(table) else {
-                units.push(Unit {
-                    table,
-                    known: false,
-                    record_count: 0,
-                    struct_tasks: 0..0,
-                    range_tasks: None,
-                    sem: SemUnit::None,
-                });
-                continue;
-            };
-            let record_count = tm.def.record_count;
-            let record_size = tm.record_size;
-            let span = record_size * record_count as usize;
-            let shards = shard_count(span, workers, min_shard_bytes);
-            let ranges = split_range(record_count, shards);
-            let weight_of = |r: &std::ops::Range<u32>| record_size * (r.end - r.start) as usize;
-
-            // Structural screens.
-            let (use_gen_s, skip_s) = self.structural.plan_screen(table, record_count);
-            let struct_start = tasks.len();
-            for r in &ranges {
-                let snap = Arc::clone(&snap);
-                let skip: Vec<u64> = skip_s[r.start as usize..r.end as usize].to_vec();
-                let (lo, hi) = (r.start, r.end);
-                tasks.push((
-                    weight_of(r),
-                    Box::new(move || {
-                        ShardResult::Struct(screen_headers(&*snap, table, lo, hi, use_gen_s, &skip))
-                    }),
-                ));
-            }
-            let struct_tasks = struct_start..tasks.len();
-
-            // Range screens (only for tables with ruled fields — the
-            // serial element returns before its pass bookkeeping
-            // otherwise).
-            let ruled = ruled_fields(db.catalog(), table);
-            let range_tasks = if ruled.is_empty() {
-                None
-            } else {
-                let ruled = Arc::new(ruled);
-                let (use_gen_r, skip_r) = self.range.plan_screen(table, record_count);
-                let start = tasks.len();
-                for r in &ranges {
-                    let snap = Arc::clone(&snap);
-                    let locked = Arc::clone(&locked);
-                    let ruled = Arc::clone(&ruled);
-                    let skip: Vec<u64> = skip_r[r.start as usize..r.end as usize].to_vec();
-                    let (lo, hi) = (r.start, r.end);
-                    tasks.push((
-                        weight_of(r),
-                        Box::new(move || {
-                            ShardResult::Range(screen_ranges(
-                                &*snap, table, lo, hi, use_gen_r, &skip, &ruled, &locked,
-                            ))
-                        }),
-                    ));
-                }
-                Some(start..tasks.len())
-            };
-
-            // Semantic screens (only for link-bearing anchor tables).
-            let sem = if link_field(db.catalog(), table).is_none() {
-                SemUnit::None
-            } else {
-                let closure_sig = link_closure(db.catalog(), table)
-                    .iter()
-                    .fold(0u64, |acc, t| acc.wrapping_add(db.table_generation(*t)));
-                let use_witness = self.semantic.incremental && !self.semantic.peek_due_full(table);
-                if use_witness && self.semantic.would_skip_table(table, closure_sig, now) {
-                    SemUnit::Skip
-                } else {
-                    let orphan_grace = self.semantic.orphan_grace;
-                    let incremental = self.semantic.incremental;
-                    let start = tasks.len();
-                    for r in &ranges {
-                        let snap = Arc::clone(&snap);
-                        let locked = Arc::clone(&locked);
-                        let prior: Vec<Option<WalkWitness>> =
-                            self.semantic.walk_slice(table, r.start, r.end);
-                        let last_access: Vec<SimTime> = (r.start..r.end)
-                            .map(|i| {
-                                db.record_meta(RecordRef::new(table, i))
-                                    .map(|m| m.last_access)
-                                    .unwrap_or(SimTime::ZERO)
-                            })
-                            .collect();
-                        let (lo, hi) = (r.start, r.end);
-                        tasks.push((
-                            weight_of(r),
-                            Box::new(move || {
-                                ShardResult::Sem(screen_walks(
-                                    &*snap,
-                                    table,
-                                    lo,
-                                    hi,
-                                    use_witness,
-                                    incremental,
-                                    &prior,
-                                    &last_access,
-                                    &locked,
-                                    orphan_grace,
-                                    now,
-                                ))
-                            }),
-                        ));
-                    }
-                    SemUnit::Walk { tasks: start..tasks.len(), closure_sig }
-                }
-            };
-            units.push(Unit { table, known: true, record_count, struct_tasks, range_tasks, sem });
-        }
-
-        // ----- Dispatch: slot-indexed, deterministic. -----
-        let mut results: Vec<Option<ShardResult>> =
-            self.executor.run(workers, tasks, min_shard_bytes).into_iter().map(Some).collect();
-        let stats = self.executor.last_stats();
-        let summary = ExecSummary {
-            mode: ExecutorMode::Parallel,
-            workers,
-            tasks: stats.tasks,
-            batches: stats.batches,
-            steals: stats.steals,
-            estimated_bytes: estimated,
-        };
-
-        // ----- Apply, in the serial engine's exact order. -----
-        if let Some(plan) = &static_plan {
-            let mut crcs: Vec<u32> = Vec::with_capacity(plan.jobs.len());
-            for (gi, _) in static_groups.iter().enumerate() {
-                match results[gi].take() {
-                    Some(ShardResult::Crc(v)) => crcs.extend(v),
-                    _ => unreachable!("static slots hold CRC results"),
-                }
-            }
-            self.static_audit.apply_plan(db, plan, &crcs, epoch, now, findings);
-        }
-
-        for unit in units {
-            let table = unit.table;
-            if !unit.known {
-                self.run_tables_serial(db, api, now, &[table], findings, records_checked);
-                continue;
-            }
-            db.reset_error_cycle_table(table);
-            let locked_live = |r: RecordRef| api.locks().holder(r).is_some();
-
-            // Structural.
-            if db.mutation_generation() == epoch {
-                let mut cleans: Vec<(u32, u64)> = Vec::new();
-                let mut suspect = false;
-                for ti in unit.struct_tasks.clone() {
-                    match results[ti].take() {
-                        Some(ShardResult::Struct(StructScreen::Clean { cleans: c })) => {
-                            cleans.extend(c);
-                        }
-                        Some(ShardResult::Struct(StructScreen::Suspect)) => {
-                            suspect = true;
-                            break;
-                        }
-                        _ => unreachable!("structural slots hold structural screens"),
-                    }
-                }
-                if suspect {
-                    *records_checked += self.structural.audit_table(db, table, now, findings);
-                } else {
-                    *records_checked +=
-                        self.structural.commit_clean(table, unit.record_count, cleans);
-                }
-            } else {
-                *records_checked += self.structural.audit_table(db, table, now, findings);
-            }
-
-            // Range.
-            if let Some(rt) = unit.range_tasks.clone() {
-                if db.mutation_generation() == epoch {
-                    let mut cleans: Vec<(u32, u64)> = Vec::new();
-                    let mut checked = 0u64;
-                    let mut suspect = false;
-                    for ti in rt {
-                        match results[ti].take() {
-                            Some(ShardResult::Range(RangeScreen::Clean {
-                                cleans: c,
-                                checked: k,
-                            })) => {
-                                cleans.extend(c);
-                                checked += k;
-                            }
-                            Some(ShardResult::Range(RangeScreen::Suspect)) => {
-                                suspect = true;
-                                break;
-                            }
-                            _ => unreachable!("range slots hold range screens"),
-                        }
-                    }
-                    if suspect {
-                        *records_checked +=
-                            self.range.audit_table(db, table, &locked_live, now, findings);
-                    } else {
-                        *records_checked +=
-                            self.range.commit_clean(table, unit.record_count, cleans, checked);
-                    }
-                } else {
-                    *records_checked +=
-                        self.range.audit_table(db, table, &locked_live, now, findings);
-                }
-            }
-
-            // Semantic.
-            match unit.sem {
-                SemUnit::None => {}
-                SemUnit::Skip => {
-                    if db.mutation_generation() == epoch {
-                        self.semantic.commit_skip(table);
-                    } else {
-                        *records_checked +=
-                            self.semantic.audit_table(db, table, &locked_live, now, findings);
-                    }
-                }
-                SemUnit::Walk { tasks: st, closure_sig } => {
-                    if db.mutation_generation() == epoch {
-                        let mut witnesses: Vec<(u32, Option<WalkWitness>)> = Vec::new();
-                        let mut abstained = false;
-                        let mut earliest: Option<SimTime> = None;
-                        let mut checked = 0u64;
-                        let mut suspect = false;
-                        for ti in st {
-                            match results[ti].take() {
-                                Some(ShardResult::Sem(SemScreen::Clean {
-                                    witnesses: w,
-                                    abstained: a,
-                                    earliest_unlinked: e,
-                                    checked: k,
-                                })) => {
-                                    witnesses.extend(w);
-                                    abstained |= a;
-                                    earliest = match (earliest, e) {
-                                        (Some(x), Some(y)) => Some(x.min(y)),
-                                        (x, y) => x.or(y),
-                                    };
-                                    checked += k;
-                                }
-                                Some(ShardResult::Sem(SemScreen::Suspect)) => {
-                                    suspect = true;
-                                    break;
-                                }
-                                _ => unreachable!("semantic slots hold semantic screens"),
-                            }
-                        }
-                        if suspect {
-                            *records_checked +=
-                                self.semantic.audit_table(db, table, &locked_live, now, findings);
-                        } else {
-                            self.semantic.commit_clean(
-                                table,
-                                unit.record_count,
-                                closure_sig,
-                                witnesses,
-                                abstained,
-                                earliest,
-                            );
-                            *records_checked += checked;
-                        }
-                    } else {
-                        *records_checked +=
-                            self.semantic.audit_table(db, table, &locked_live, now, findings);
-                    }
-                }
-            }
-
-            // Custom elements run serially, in their legacy slot.
-            for element in &mut self.extra {
-                *records_checked += element.audit_table(db, table, &locked_live, now, findings);
-            }
-        }
-        summary
+        records_checked
     }
 
     /// Escalation statistics (table reloads performed, restarts

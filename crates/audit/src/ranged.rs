@@ -12,11 +12,7 @@
 //! paper's "escape due to lack of rule" category, which the semantic
 //! audit partially closes.
 
-use std::collections::BTreeSet;
-
-use wtnc_db::{
-    Catalog, Database, DbRead, FieldId, FieldKind, RecordRef, TableId, TableNature, TaintFate,
-};
+use wtnc_db::{Catalog, Database, FieldId, FieldKind, RecordRef, TableId, TableNature, TaintFate};
 use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
@@ -24,7 +20,7 @@ use crate::genskip::GenSkip;
 
 /// The range-checkable fields of a table: `(field, lo, hi, default)`
 /// for every dynamic field carrying a catalog range rule.
-pub(crate) fn ruled_fields(catalog: &Catalog, table: TableId) -> Vec<(u16, u64, u64, u64)> {
+fn ruled_fields(catalog: &Catalog, table: TableId) -> Vec<(u16, u64, u64, u64)> {
     let Ok(tm) = catalog.table(table) else {
         return Vec::new();
     };
@@ -35,62 +31,6 @@ pub(crate) fn ruled_fields(catalog: &Catalog, table: TableId) -> Vec<(u16, u64, 
         .filter(|(_, f)| f.kind == FieldKind::Dynamic)
         .filter_map(|(i, f)| f.range.map(|(lo, hi)| (i as u16, lo, hi, f.default)))
         .collect()
-}
-
-/// Outcome of a read-only range screen over one shard of records.
-#[derive(Debug, Clone)]
-pub(crate) enum RangeScreen {
-    /// Every scanned record was in range; `cleans` carries the
-    /// `(index, generation)` pairs to commit and `checked` the
-    /// records-checked count the serial scan would have reported.
-    Clean { cleans: Vec<(u32, u64)>, checked: u64 },
-    /// At least one out-of-range field: the owner re-runs the serial
-    /// element, which repairs and reports in the legacy order.
-    Suspect,
-}
-
-/// Screens the ranged fields of records `lo..hi` of `table` without
-/// mutating anything. `skip` holds verified-clean generations aligned
-/// to `lo`; `locked` is the frozen set of client-locked records.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn screen_ranges<D: DbRead>(
-    db: &D,
-    table: TableId,
-    lo: u32,
-    hi: u32,
-    use_gen: bool,
-    skip: &[u64],
-    ruled: &[(u16, u64, u64, u64)],
-    locked: &BTreeSet<RecordRef>,
-) -> RangeScreen {
-    let Ok(tm) = db.catalog().table(table) else {
-        return RangeScreen::Clean { cleans: Vec::new(), checked: 0 };
-    };
-    let mut cleans = Vec::new();
-    let mut checked = 0u64;
-    for index in lo..hi.min(tm.def.record_count) {
-        let rec = RecordRef::new(table, index);
-        let gen = db.record_generation(rec);
-        if use_gen && GenSkip::slot_is_clean(skip[(index - lo) as usize], gen) {
-            continue;
-        }
-        if !db.is_active(rec).unwrap_or(false) {
-            cleans.push((index, gen));
-            continue;
-        }
-        if locked.contains(&rec) {
-            continue;
-        }
-        checked += 1;
-        for &(field, rlo, rhi, _) in ruled {
-            let value = db.read_field_raw(rec, FieldId(field)).expect("field exists");
-            if value < rlo || value > rhi {
-                return RangeScreen::Suspect;
-            }
-        }
-        cleans.push((index, gen));
-    }
-    RangeScreen::Clean { cleans, checked }
 }
 
 /// The range-check audit element.
@@ -115,31 +55,6 @@ impl RangeAudit {
     /// Creates the element with the paper's recovery policy.
     pub fn new() -> Self {
         RangeAudit { free_dynamic_records: true, ..RangeAudit::default() }
-    }
-
-    /// Plan inputs for a read-only screen of `table`: whether the pass
-    /// may skip by generation, and the verified-clean generations for
-    /// the whole table. Peeks the pass counter without advancing it.
-    pub(crate) fn plan_screen(&self, table: TableId, record_count: u32) -> (bool, Vec<u64>) {
-        let due_full = self.skip.peek_due_full(table, self.full_rescan_period);
-        (self.incremental && !due_full, self.skip.clean_slice(table, record_count as usize))
-    }
-
-    /// Commits an all-clean screened pass: advances the pass counter
-    /// exactly once and records the screened generations, just as the
-    /// serial scan would have. Returns the accumulated checked count.
-    pub(crate) fn commit_clean(
-        &mut self,
-        table: TableId,
-        record_count: u32,
-        cleans: impl IntoIterator<Item = (u32, u64)>,
-        checked: u64,
-    ) -> u64 {
-        let _ = self.skip.begin_pass(table, record_count as usize, self.full_rescan_period);
-        for (index, gen) in cleans {
-            self.skip.set_clean(table, index, gen);
-        }
-        checked
     }
 
     /// Audits the dynamic ranged fields of every active record of one

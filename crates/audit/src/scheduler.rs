@@ -21,38 +21,6 @@ use wtnc_db::{Database, TableId, TableNature};
 pub trait AuditScheduler {
     /// Picks the next table given current database statistics.
     fn next_table(&mut self, db: &Database) -> TableId;
-
-    /// Picks up to `max` tables for one cycle. The first is always
-    /// [`AuditScheduler::next_table`]'s pick (so `max <= 1` behaves
-    /// exactly like the classic single-table schedule); the rest are
-    /// greedily added in table-id order from tables whose link closures
-    /// are disjoint from every table already picked — independent
-    /// record sets a parallel executor can screen concurrently without
-    /// one table's semantic walks re-reading another's records.
-    fn next_tables(&mut self, db: &Database, max: usize) -> Vec<TableId> {
-        let first = self.next_table(db);
-        let mut picked = vec![first];
-        if max <= 1 {
-            return picked;
-        }
-        let mut blocked: std::collections::BTreeSet<TableId> =
-            crate::links::link_closure(db.catalog(), first).into_iter().collect();
-        for tm in db.catalog().tables() {
-            if picked.len() >= max {
-                break;
-            }
-            if picked.contains(&tm.id) {
-                continue;
-            }
-            let closure = crate::links::link_closure(db.catalog(), tm.id);
-            if closure.iter().any(|t| blocked.contains(t)) {
-                continue;
-            }
-            blocked.extend(closure);
-            picked.push(tm.id);
-        }
-        picked
-    }
 }
 
 /// Fixed-order scheduler: table 0, 1, 2, … and around again.

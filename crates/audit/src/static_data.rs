@@ -69,39 +69,6 @@ struct Chunk {
     passes_since_full: u32,
 }
 
-/// One CRC job for a worker: re-hash `len` bytes at `offset` of the
-/// snapshot and report the result as relative block `rel` of chunk
-/// `chunk`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StaticJob {
-    chunk: usize,
-    rel: usize,
-    /// Byte range within the region (and thus within the snapshot).
-    pub(crate) offset: usize,
-    pub(crate) len: usize,
-}
-
-/// Per-chunk verdict planned against the live dirty bitmap, mirroring
-/// the branches of `check_chunk`.
-#[derive(Debug, Clone)]
-enum ChunkPlan {
-    /// Zero-length chunk: `check_chunk` returns immediately.
-    Empty,
-    /// No dirty block and skipping allowed: bump the pass counter.
-    SkipClean,
-    /// Fold and compare; `jobs` indexes into [`StaticPlan::jobs`] the
-    /// blocks that must be re-hashed for this chunk.
-    Check { due_full: bool, jobs: std::ops::Range<usize> },
-}
-
-/// Owner-side plan for one parallel static pass: what each chunk will
-/// do, plus the flattened re-hash jobs workers CRC from the snapshot.
-#[derive(Debug, Clone)]
-pub(crate) struct StaticPlan {
-    chunks: Vec<ChunkPlan>,
-    pub(crate) jobs: Vec<StaticJob>,
-}
-
 /// The static-data audit element.
 #[derive(Debug, Clone)]
 pub struct StaticDataAudit {
@@ -275,112 +242,11 @@ impl StaticDataAudit {
         self.handle_mismatch(db, table, (offset, len), at, detail(table), out);
     }
 
-    /// The full-scan finding detail, shared by [`StaticDataAudit::audit`]
-    /// and the parallel apply path.
+    /// The full-scan finding detail of [`StaticDataAudit::audit`].
     fn full_detail(table: Option<TableId>) -> String {
         match table {
             Some(t) => format!("checksum mismatch in config table {}", t.0),
             None => "checksum mismatch in system catalog".to_owned(),
-        }
-    }
-
-    /// Plans a full static pass against the live dirty bitmap without
-    /// mutating anything: which chunks skip, and which blocks workers
-    /// must re-hash from the snapshot.
-    pub(crate) fn plan(&self, db: &Database) -> StaticPlan {
-        let mut plan = StaticPlan { chunks: Vec::with_capacity(self.chunks.len()), jobs: vec![] };
-        for (ci, c) in self.chunks.iter().enumerate() {
-            if c.len == 0 {
-                plan.chunks.push(ChunkPlan::Empty);
-                continue;
-            }
-            let due_full =
-                self.full_rescan_period > 0 && c.passes_since_full + 1 >= self.full_rescan_period;
-            let use_dirty_bits = self.incremental && !due_full;
-            if use_dirty_bits && !db.dirty().any_dirty_in(c.offset, c.len) {
-                plan.chunks.push(ChunkPlan::SkipClean);
-                continue;
-            }
-            let first_job = plan.jobs.len();
-            let first_block = c.offset / DIRTY_BLOCK_SIZE;
-            for (b, s, l) in block_spans(c.offset, c.len) {
-                if !use_dirty_bits || db.dirty().is_dirty(b) {
-                    plan.jobs.push(StaticJob {
-                        chunk: ci,
-                        rel: b - first_block,
-                        offset: s,
-                        len: l,
-                    });
-                }
-            }
-            plan.chunks.push(ChunkPlan::Check { due_full, jobs: first_job..plan.jobs.len() });
-        }
-        plan
-    }
-
-    /// Applies a planned pass, consuming worker-computed CRCs (aligned
-    /// with `plan.jobs`). Chunks are visited in the same order as
-    /// [`StaticDataAudit::audit`]; once any repair makes the snapshot
-    /// stale (`db.mutation_generation() != epoch`), the remaining
-    /// chunks are checked serially against the live bytes.
-    pub(crate) fn apply_plan(
-        &mut self,
-        db: &mut Database,
-        plan: &StaticPlan,
-        crcs: &[u32],
-        epoch: u64,
-        at: SimTime,
-        out: &mut Vec<Finding>,
-    ) {
-        debug_assert_eq!(plan.jobs.len(), crcs.len());
-        for ci in 0..self.chunks.len() {
-            if db.mutation_generation() != epoch {
-                self.check_chunk(db, ci, at, Self::full_detail, out);
-                continue;
-            }
-            match plan.chunks[ci].clone() {
-                ChunkPlan::Empty => {}
-                ChunkPlan::SkipClean => self.chunks[ci].passes_since_full += 1,
-                ChunkPlan::Check { due_full, jobs } => {
-                    for (job, &crc) in plan.jobs[jobs.clone()].iter().zip(&crcs[jobs]) {
-                        debug_assert_eq!(job.chunk, ci);
-                        self.chunks[ci].block_live[job.rel] = crc;
-                    }
-                    let (table, offset, len, golden) = {
-                        let c = &self.chunks[ci];
-                        (c.table, c.offset, c.len, c.golden)
-                    };
-                    let first_block = offset / DIRTY_BLOCK_SIZE;
-                    let mut folded = 0u32;
-                    let mut first = true;
-                    for (b, _, l) in block_spans(offset, len) {
-                        let c = self.chunks[ci].block_live[b - first_block];
-                        folded = if first {
-                            first = false;
-                            c
-                        } else {
-                            self.shift_for(l).combine(folded, c)
-                        };
-                    }
-                    self.chunks[ci].passes_since_full = if due_full || !self.incremental {
-                        0
-                    } else {
-                        self.chunks[ci].passes_since_full + 1
-                    };
-                    if folded == golden {
-                        db.dirty_mut().clear_contained(offset, len);
-                    } else {
-                        self.handle_mismatch(
-                            db,
-                            table,
-                            (offset, len),
-                            at,
-                            Self::full_detail(table),
-                            out,
-                        );
-                    }
-                }
-            }
         }
     }
 

@@ -12,59 +12,11 @@
 //! reloaded from the disk".
 
 use wtnc_db::layout::{encode_record_id, LINK_NONE, STATUS_ACTIVE, STATUS_FREE};
-use wtnc_db::{Database, DbRead, RecordRef, TableId, TaintFate};
+use wtnc_db::{Database, RecordRef, TableId, TaintFate};
 use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::genskip::GenSkip;
-
-/// Outcome of a read-only header screen over one shard of records.
-#[derive(Debug, Clone)]
-pub(crate) enum StructScreen {
-    /// Every scanned record was clean; the `(index, generation)` pairs
-    /// are committed as verified-clean by the owner.
-    Clean { cleans: Vec<(u32, u64)> },
-    /// At least one damaged header: the owner re-runs the serial
-    /// element, which repairs and reports in the legacy order.
-    Suspect,
-}
-
-/// Screens the headers of records `lo..hi` of `table` without mutating
-/// anything. `skip` holds the verified-clean generations aligned to
-/// `lo` (from [`GenSkip::clean_slice`]); `use_gen` mirrors the serial
-/// element's incremental decision for this pass.
-pub(crate) fn screen_headers<D: DbRead>(
-    db: &D,
-    table: TableId,
-    lo: u32,
-    hi: u32,
-    use_gen: bool,
-    skip: &[u64],
-) -> StructScreen {
-    let Ok(tm) = db.catalog().table(table) else {
-        return StructScreen::Clean { cleans: Vec::new() };
-    };
-    let record_count = tm.def.record_count;
-    let mut cleans = Vec::new();
-    for index in lo..hi.min(record_count) {
-        let rec = RecordRef::new(table, index);
-        let gen = db.record_generation(rec);
-        if use_gen && GenSkip::slot_is_clean(skip[(index - lo) as usize], gen) {
-            continue;
-        }
-        let hdr = db.header(rec).expect("index within table");
-        let link_ok = |l: u16| l == LINK_NONE || (l as u32) < record_count;
-        let ok = hdr.record_id == encode_record_id(table.0, index)
-            && (hdr.status == STATUS_ACTIVE || hdr.status == STATUS_FREE)
-            && link_ok(hdr.next)
-            && link_ok(hdr.prev);
-        if !ok {
-            return StructScreen::Suspect;
-        }
-        cleans.push((index, gen));
-    }
-    StructScreen::Clean { cleans }
-}
 
 /// The structural audit element.
 #[derive(Debug, Clone)]
@@ -103,30 +55,6 @@ impl StructuralAudit {
             full_rescan_period: 0,
             skip: GenSkip::default(),
         }
-    }
-
-    /// Plan inputs for a read-only screen of `table`: whether the pass
-    /// may skip by generation, and the verified-clean generations for
-    /// the whole table. Peeks the pass counter without advancing it.
-    pub(crate) fn plan_screen(&self, table: TableId, record_count: u32) -> (bool, Vec<u64>) {
-        let due_full = self.skip.peek_due_full(table, self.full_rescan_period);
-        (self.incremental && !due_full, self.skip.clean_slice(table, record_count as usize))
-    }
-
-    /// Commits an all-clean screened pass: advances the pass counter
-    /// exactly once and records the screened generations, just as the
-    /// serial scan would have. Returns the records-checked count.
-    pub(crate) fn commit_clean(
-        &mut self,
-        table: TableId,
-        record_count: u32,
-        cleans: impl IntoIterator<Item = (u32, u64)>,
-    ) -> u64 {
-        let _ = self.skip.begin_pass(table, record_count as usize, self.full_rescan_period);
-        for (index, gen) in cleans {
-            self.skip.set_clean(table, index, gen);
-        }
-        record_count as u64
     }
 
     /// Audits one table's headers; returns the number of records

@@ -287,7 +287,7 @@ fn main() {
          the dispatch workload isolates the engine"
     );
 
-    // Speedup gate, mirroring audit_scaling: assert when requested,
+    // Speedup gate: assert when requested,
     // but stamp an honest fallback on single-CPU hosts instead of
     // failing, since shared 1-CPU containers time too noisily.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

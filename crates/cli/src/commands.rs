@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use wtnc::audit::{AuditConfig, ParallelConfig, SupervisorConfig};
+use wtnc::audit::{AuditConfig, SupervisorConfig};
 use wtnc::db::schema;
 use wtnc::inject::db_campaign::{run_campaign as run_db_campaign, DbCampaignConfig};
 use wtnc::inject::powerfail_campaign::{
@@ -41,11 +41,9 @@ USAGE:
                                            corrupt the Nth CFI and watch
                                            PECOS; per-run superblock report
     wtnc audit-demo                        inject -> detect -> repair
-    wtnc audit [--workers N] [--cycles N] [--dirty-pct P]
-               [--force-parallel] [--no-hwcrc]
+    wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]
                                            steady-state audit cycles with
-                                           executor mode / batch / CRC-
-                                           kernel bookkeeping per cycle
+                                           per-cycle cost and CRC kernel
     wtnc audit --storm [--load X] [--model NAME]
                                            overload walkthrough: one
                                            traffic-storm run with and
@@ -69,7 +67,6 @@ USAGE:
                                            records the newest checkpoint
                                            already covers
     wtnc campaign db [--runs N] [--no-audit] [--no-incremental]
-                     [--audit-workers N]
     wtnc campaign text [--runs N] [--directed]
     wtnc campaign priority [--runs N] [--proportional]
     wtnc campaign recovery [--runs N] [--budget N]
@@ -81,20 +78,28 @@ USAGE:
 
 `wtnc store` commands operate on a durable store directory (--dir);
 without --dir they demonstrate the journal/checkpoint/recovery cycle in
-a temporary scratch directory that is removed on exit.
+a temporary scratch directory that is removed on exit.";
 
-Audit cycles shard across a deterministic worker pool when
---audit-workers (or the WTNC_WORKERS environment variable) is above 1;
-findings are identical for any worker count.";
-
-/// Parses `--flag value` pairs and positional arguments.
-fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
+/// Parses `--flag value` pairs and positional arguments. A flag whose
+/// name is not in `allowed` is an error, so a typo or a retired option
+/// never runs silently with its value ignored.
+fn parse<'a>(
+    args: &'a [String],
+    allowed: &[&str],
+) -> Result<(Vec<&'a str>, HashMap<&'a str, &'a str>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
+            if !allowed.contains(&name) {
+                return Err(if allowed.is_empty() {
+                    format!("unknown flag --{name}: this command takes no flags")
+                } else {
+                    format!("unknown flag --{name}; expected one of --{}", allowed.join(", --"))
+                });
+            }
             // Boolean flags are followed by another flag or nothing.
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 flags.insert(name, args[i + 1].as_str());
@@ -129,7 +134,7 @@ fn load_assembly(path: &str) -> Result<Assembly, String> {
 
 /// `wtnc asm <file.s>`
 pub fn asm(args: &[String]) -> Result<(), String> {
-    let (positional, _) = parse(args)?;
+    let (positional, _) = parse(args, &[])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc asm <file.s>".into());
     };
@@ -147,7 +152,7 @@ pub fn asm(args: &[String]) -> Result<(), String> {
 
 /// `wtnc run <file.s> [--threads N] [--steps N]`
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["threads", "steps"])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc run <file.s> [--threads N] [--steps N]".into());
     };
@@ -174,7 +179,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 /// `wtnc trace <file.s> [--steps N]`
 pub fn trace(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["steps"])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc trace <file.s> [--steps N]".into());
     };
@@ -206,7 +211,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
 
 /// `wtnc pecos <file.s> [--corrupt-cfi N] [--engine E]`
 pub fn pecos(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["engine", "corrupt-cfi"])?;
     let [path] = positional.as_slice() else {
         return Err(
             "usage: wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded|superblock]"
@@ -315,9 +320,9 @@ fn print_superblock_report(machine: &Machine) {
 }
 
 /// `wtnc audit-demo`
-pub fn audit_demo(_args: &[String]) -> Result<(), String> {
-    let mut controller = Controller::standard()
-        .with_audit(AuditConfig { parallel: ParallelConfig::from_env(), ..AuditConfig::default() });
+pub fn audit_demo(args: &[String]) -> Result<(), String> {
+    parse(args, &[])?;
+    let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
         "controller: {} tables, {} byte image, audit process alive",
         controller.db.catalog().table_count(),
@@ -340,44 +345,33 @@ pub fn audit_demo(_args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `wtnc audit [--workers N] [--cycles N] [--dirty-pct P]
-/// [--force-parallel] [--no-hwcrc]`: runs steady-state audit cycles
-/// over a populated database and prints each cycle's executor
-/// bookkeeping — which engine ran, how the screens were batched, and
-/// which CRC kernel hashed the bytes.
+/// `wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]`: runs
+/// steady-state audit cycles over a populated database and prints each
+/// cycle's findings, records checked and wall time, plus the CRC kernel
+/// that hashed the bytes.
 pub fn audit(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args)?;
-    if flags.contains_key("storm") {
+    if args.iter().any(|a| a == "--storm") {
+        let (_, flags) = parse(args, &["storm", "load", "model"])?;
         return audit_storm_demo(&flags);
     }
-    let workers: usize = flag_num(&flags, "workers", ParallelConfig::from_env().workers)?;
+    let (_, flags) = parse(args, &["cycles", "dirty-pct", "no-hwcrc"])?;
     let cycles: u64 = flag_num(&flags, "cycles", 3u64)?;
     let dirty_pct: f64 = flag_num(&flags, "dirty-pct", 25.0)?;
-    let force_parallel = flags.contains_key("force-parallel");
     if flags.contains_key("no-hwcrc") {
         wtnc::db::set_crc_kernel_override(Some(wtnc::db::CrcKernel::Slice8));
     }
 
-    let mut controller = Controller::standard().with_audit(AuditConfig {
-        parallel: ParallelConfig {
-            workers: workers.max(1),
-            governor: !force_parallel,
-            ..ParallelConfig::default()
-        },
-        ..AuditConfig::default()
-    });
+    let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
-        "controller: {} tables, {} byte image; {} worker(s), governor {}, crc kernel {}",
+        "controller: {} tables, {} byte image; crc kernel {}",
         controller.db.catalog().table_count(),
         controller.db.region_len(),
-        workers.max(1),
-        if force_parallel { "off (forced parallel)" } else { "on" },
         wtnc::db::crc_kernel().name()
     );
 
     // Steady-state workload: touch a fraction of the blocks with
     // same-value writes so the audit re-verifies them and finds
-    // nothing — the recurring cost the executor exists to shrink.
+    // nothing — the recurring cost of an incremental cycle.
     let n_blocks = controller.db.region_len() / wtnc::db::DIRTY_BLOCK_SIZE;
     let k = ((n_blocks as f64 * dirty_pct / 100.0) as usize).clamp(1, n_blocks);
     for cycle in 1..=cycles {
@@ -391,16 +385,8 @@ pub fn audit(args: &[String]) -> Result<(), String> {
         let report =
             controller.run_audit_cycle(SimTime::from_secs(10 * cycle)).expect("audit alive");
         let us = start.elapsed().as_secs_f64() * 1e6;
-        let e = report.exec;
         println!(
-            "cycle {cycle}: mode {:<15} workers {} tasks {:>3} batches {:>3} steals {:>2} \
-             est {:>6} B  {} finding(s), {} records, {us:.0} us",
-            e.mode.name(),
-            e.workers,
-            e.tasks,
-            e.batches,
-            e.steals,
-            e.estimated_bytes,
+            "cycle {cycle}: {} finding(s), {} records, {us:.0} us",
             report.findings.len(),
             report.records_checked
         );
@@ -465,10 +451,10 @@ fn parse_storm_model(name: &str) -> Result<StormModel, String> {
 /// `wtnc recover [--budget N]`: a walkthrough of the staged
 /// detect→diagnose→repair→verify loop.
 pub fn recover(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args)?;
+    let (_, flags) = parse(args, &["budget"])?;
     let budget: u32 = flag_num(&flags, "budget", RecoveryConfig::default().cycle_budget)?;
     let mut controller = Controller::standard()
-        .with_audit(AuditConfig { parallel: ParallelConfig::from_env(), ..AuditConfig::default() })
+        .with_audit(AuditConfig::default())
         .with_recovery(RecoveryConfig { cycle_budget: budget, ..RecoveryConfig::default() });
     println!(
         "controller: {} tables, {} byte image; audits detect-only; \
@@ -536,11 +522,12 @@ pub fn recover(args: &[String]) -> Result<(), String> {
 /// `wtnc supervise`: a walkthrough of the process-supervision loop —
 /// a client hangs holding a lock, another crashes, the supervisor
 /// condemns both, steals the lock, and warm-restarts the lineages.
-pub fn supervise(_args: &[String]) -> Result<(), String> {
+pub fn supervise(args: &[String]) -> Result<(), String> {
     use wtnc::sim::Responsiveness;
 
+    parse(args, &[])?;
     let mut controller = Controller::standard()
-        .with_audit(AuditConfig { parallel: ParallelConfig::from_env(), ..AuditConfig::default() })
+        .with_audit(AuditConfig::default())
         .with_supervision(SupervisorConfig::default());
     let hung = controller.spawn_client("client-a", SimTime::ZERO);
     let crashed = controller.spawn_client("client-b", SimTime::ZERO);
@@ -637,7 +624,7 @@ fn print_store_findings(findings: &[wtnc::store::StoreFinding]) {
 /// `wtnc store <checkpoint|replay|verify|compact> [--dir D] [--seed N]
 /// [--mutations N] [--delta] [--full-every N]`
 pub fn store(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["dir", "seed", "mutations", "delta", "full-every"])?;
     let seed: u64 = flag_num(&flags, "seed", 0x00C0_FFEE)?;
     let mutations: usize = flag_num(&flags, "mutations", 64)?;
     // `--delta` switches on incremental checkpoints (every 4th full by
@@ -785,20 +772,29 @@ fn parse_fault_model(name: &str) -> Result<ProcessFaultModel, String> {
     })
 }
 
-/// `wtnc campaign <db|text> [...]`
+/// `wtnc campaign <db|text|priority|recovery|process|powerfail|storm> [...]`
 pub fn campaign(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    const CAMPAIGN_USAGE: &str =
+        "usage: wtnc campaign <db|text|priority|recovery|process|powerfail|storm> \
+         [--runs N] [--no-audit|--directed|--proportional|--budget N|--model NAME|--load X]";
+    let allowed: &[&str] = match args.first().map(String::as_str) {
+        Some("db") => &["runs", "no-audit", "no-incremental"],
+        Some("text") => &["runs", "directed"],
+        Some("priority") => &["runs", "proportional"],
+        Some("recovery") => &["runs", "budget"],
+        Some("process" | "powerfail") => &["runs", "model"],
+        Some("storm") => &["runs", "model", "load", "no-isolation"],
+        _ => return Err(CAMPAIGN_USAGE.into()),
+    };
+    let (positional, flags) = parse(args, allowed)?;
     match positional.as_slice() {
         ["db"] => {
             let runs: usize = flag_num(&flags, "runs", 5)?;
             let audits = !flags.contains_key("no-audit");
             let incremental = !flags.contains_key("no-incremental");
-            let audit_workers: usize =
-                flag_num(&flags, "audit-workers", ParallelConfig::from_env().workers)?;
             let config = DbCampaignConfig {
                 audits,
                 incremental,
-                audit_workers: audit_workers.max(1),
                 duration: SimDuration::from_secs(500),
                 ..DbCampaignConfig::default()
             };
@@ -981,9 +977,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        _ => Err("usage: wtnc campaign <db|text|priority|recovery|process|powerfail|storm> \
-             [--runs N] [--no-audit|--directed|--proportional|--budget N|--model NAME|--load X]"
-            .into()),
+        _ => Err(CAMPAIGN_USAGE.into()),
     }
 }
 
@@ -998,13 +992,31 @@ mod tests {
     #[test]
     fn parser_handles_flags_and_positionals() {
         let args = strings(&["file.s", "--threads", "4", "--directed", "--steps", "100"]);
-        let (pos, flags) = parse(&args).unwrap();
+        let (pos, flags) = parse(&args, &["threads", "directed", "steps"]).unwrap();
         assert_eq!(pos, vec!["file.s"]);
         assert_eq!(flags.get("threads"), Some(&"4"));
         assert_eq!(flags.get("directed"), Some(&"true"));
         assert_eq!(flag_num(&flags, "steps", 0u64).unwrap(), 100);
         assert_eq!(flag_num(&flags, "missing", 7u64).unwrap(), 7);
         assert!(flag_num::<u64>(&flags, "directed", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // Retired options and typos are named errors, never ignored.
+        let err = audit(&strings(&["--workers", "4"])).unwrap_err();
+        assert!(err.contains("unknown flag --workers"), "{err}");
+        let err = campaign(&strings(&["db", "--run", "5"])).unwrap_err();
+        assert!(err.contains("unknown flag --run;"), "{err}");
+        assert!(err.contains("--runs"), "the message lists the accepted flags: {err}");
+        assert!(audit_demo(&strings(&["--cycles", "2"])).is_err());
+        assert!(audit(&strings(&["--storm", "--cycles", "2"])).is_err(), "storm-only flags");
+        // Documented flags still run.
+        audit(&strings(&["--cycles", "1", "--dirty-pct", "10"])).unwrap();
+        recover(&strings(&["--budget", "8"])).unwrap();
+        campaign(&strings(&["db", "--runs", "1", "--no-audit", "--no-incremental"])).unwrap();
+        campaign(&strings(&["text", "--runs", "1", "--directed"])).unwrap();
+        store(&strings(&["checkpoint", "--seed", "1", "--mutations", "4", "--delta"])).unwrap();
     }
 
     #[test]
@@ -1015,8 +1027,7 @@ mod tests {
     #[test]
     fn audit_command_runs_in_every_mode() {
         audit(&strings(&["--cycles", "2"])).unwrap();
-        audit(&strings(&["--workers", "4", "--cycles", "2", "--no-hwcrc"])).unwrap();
-        audit(&strings(&["--workers", "2", "--cycles", "1", "--force-parallel"])).unwrap();
+        audit(&strings(&["--cycles", "2", "--dirty-pct", "10", "--no-hwcrc"])).unwrap();
         // Leave the process-global kernel override clear for other
         // tests in this binary.
         wtnc::db::set_crc_kernel_override(None);
@@ -1032,7 +1043,7 @@ mod tests {
     fn campaign_db_runs() {
         campaign(&strings(&["db", "--runs", "1"])).unwrap();
         campaign(&strings(&["db", "--runs", "1", "--no-incremental"])).unwrap();
-        campaign(&strings(&["db", "--runs", "1", "--audit-workers", "2"])).unwrap();
+        campaign(&strings(&["db", "--runs", "1", "--no-audit"])).unwrap();
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! wtnc run <file.s> [opts]         execute a program on the machine
 //! wtnc pecos <file.s> [opts]       instrument with PECOS and report
 //! wtnc audit-demo                  inject → detect → repair walkthrough
-//! wtnc audit [opts]                steady-state cycles with executor
-//!                                  mode / batch / CRC-kernel stats
+//! wtnc audit [opts]                steady-state audit cycles with
+//!                                  per-cycle cost and CRC kernel
 //! wtnc recover [opts]              staged detect → diagnose → repair
 //!                                  → verify walkthrough
 //! wtnc supervise                   process hang/crash → detect →

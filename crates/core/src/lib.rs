@@ -63,9 +63,8 @@ use wtnc_recovery::{CycleOutcome, RecoveryConfig, RecoveryEngine};
 use wtnc_sim::{Pid, ProcessRegistry, SimTime};
 use wtnc_store::{RecoveryInfo, Store, StoreConfig, StoreError, StoreFindingKind, StoreStats};
 
-/// One store sync's outcome plus the store's running size counters —
-/// the durable layer's analogue of the audit executor's `ExecSummary`:
-/// a small copy-out struct the harness can log every cycle without
+/// One store sync's outcome plus the store's running size counters: a
+/// small copy-out struct the harness can log every cycle without
 /// poking at store internals.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreSyncReport {
@@ -211,8 +210,7 @@ impl Controller {
 
     /// Drains captured mutations into the journal. Returns how many
     /// records were persisted plus the store's running size and
-    /// compaction counters (the durable layer's analogue of the audit
-    /// executor's `ExecSummary`), or `None` when no store is attached.
+    /// compaction counters, or `None` when no store is attached.
     ///
     /// # Errors
     ///

@@ -158,17 +158,6 @@ impl LockTable {
         out
     }
 
-    /// Every held lock, sorted by `(table, index)`. The parallel audit
-    /// executor snapshots this set at cycle start: locks cannot change
-    /// while the audit elements run, so membership here is exactly the
-    /// serial elements' `holder(..).is_some()` test.
-    pub fn held(&self) -> Vec<(RecordRef, Pid)> {
-        let mut out: Vec<_> =
-            self.locks.iter().map(|(&(t, i), &(p, _))| (RecordRef::new(t, i), p)).collect();
-        out.sort_by_key(|&(r, _)| (r.table, r.index));
-        out
-    }
-
     /// Every lock held by `pid`, sorted by `(table, index)`. The
     /// supervision tier uses this to report exactly which locks it is
     /// about to steal from a condemned client before `release_all`.

@@ -1,8 +1,6 @@
 //! The database proper: the contiguous memory region, raw accessors,
 //! shadow metadata and the golden disk image.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 use wtnc_sim::{Pid, SimTime};
 
@@ -117,9 +115,8 @@ pub struct RecordHeader {
 pub struct Database {
     region: Vec<u8>,
     golden: Vec<u8>,
-    /// The parsed catalog, immutable after build. Shared (`Arc`) so
-    /// audit snapshots can reference the layout without copying it.
-    catalog: Arc<Catalog>,
+    /// The parsed catalog, immutable after build.
+    catalog: Catalog,
     meta: Vec<Vec<RecordMeta>>,
     stats: Vec<TableStats>,
     taint: TaintMap,
@@ -202,7 +199,7 @@ impl Database {
         Ok(Database {
             region,
             golden,
-            catalog: Arc::new(catalog),
+            catalog,
             meta,
             stats,
             taint: TaintMap::new(),
@@ -236,19 +233,6 @@ impl Database {
     /// Read-only view of the golden disk image.
     pub fn golden(&self) -> &[u8] {
         &self.golden
-    }
-
-    /// Captures an epoch-stamped consistent snapshot of the audited
-    /// state (region bytes, catalog reference, mutation generations)
-    /// for parallel audit screening. See [`crate::DbSnapshot`].
-    pub fn snapshot(&self) -> crate::snapshot::DbSnapshot {
-        crate::snapshot::DbSnapshot {
-            epoch: self.global_gen,
-            catalog: Arc::clone(&self.catalog),
-            region: self.region.clone().into_boxed_slice(),
-            table_gen: self.table_gen.clone(),
-            record_gen: self.record_gen.clone(),
-        }
     }
 
     /// The ground-truth taint ledger.

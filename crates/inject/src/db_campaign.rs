@@ -41,10 +41,6 @@ pub struct DbCampaignConfig {
     /// and mutation generations to skip provably unchanged state. The
     /// parity property guarantees identical findings either way.
     pub incremental: bool,
-    /// Worker threads for the parallel audit executor (1 = serial).
-    /// The sharded screens are deterministic, so campaign results are
-    /// identical for any value; only wall-clock time changes.
-    pub audit_workers: usize,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -68,7 +64,6 @@ impl Default for DbCampaignConfig {
             slots: 14,
             selective_monitoring: false,
             incremental: true,
-            audit_workers: wtnc_audit::ParallelConfig::from_env().workers,
             seed: 0xDB01,
         }
     }
@@ -206,7 +201,6 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
             AuditConfig {
                 periodic_interval: config.audit_period,
                 incremental: config.incremental,
-                parallel: wtnc_audit::ParallelConfig::with_workers(config.audit_workers),
                 ..AuditConfig::default()
             },
             &db,
