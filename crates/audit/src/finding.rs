@@ -131,7 +131,8 @@ pub enum RecoveryAction {
     },
     /// Process-level recovery is evidently not holding (a restart
     /// storm exhausted its backoff ladder, or the registry refused a
-    /// restart): the manager should restart the whole controller.
+    /// restart): the caller should restart the whole controller
+    /// (`Supervisor::execute_controller_restart`).
     RequestedControllerRestart,
     /// No repair — the value was only flagged for follow-up (selective
     /// monitoring suspects, or detect-only mode routing the finding to
@@ -210,9 +211,6 @@ pub struct AuditReport {
     pub records_checked: u64,
     /// Tables examined this cycle.
     pub tables_checked: u64,
-    /// The escalation policy concluded that localized repair is not
-    /// holding: the manager should restart the controller.
-    pub restart_requested: bool,
     /// Which execution engine ran the cycle (always the serial one).
     pub exec: ExecSummary,
     /// Tables actually screened this cycle, in execution order.
@@ -270,7 +268,6 @@ mod tests {
             findings: vec![finding(AuditElementKind::Range), finding(AuditElementKind::Semantic)],
             records_checked: 10,
             tables_checked: 2,
-            restart_requested: false,
             exec: Default::default(),
             tables_audited: vec![TableId(1), TableId(2)],
             tables_shed: Vec::new(),
@@ -280,7 +277,6 @@ mod tests {
             findings: vec![finding(AuditElementKind::Range)],
             records_checked: 5,
             tables_checked: 1,
-            restart_requested: false,
             exec: Default::default(),
             tables_audited: vec![TableId(3)],
             tables_shed: vec![TableId(4)],

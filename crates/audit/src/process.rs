@@ -110,7 +110,6 @@ pub struct AuditProcess {
     extra: Vec<Box<dyn AuditElement + Send>>,
     event_tables: BTreeSet<TableId>,
     catch_log: Vec<(TaintEntry, AuditElementKind, SimTime)>,
-    escalation: crate::EscalationPolicy,
     cycles: u64,
     deferred: bool,
     bucket: Option<TokenBucket>,
@@ -158,7 +157,6 @@ impl AuditProcess {
             extra: Vec::new(),
             event_tables: BTreeSet::new(),
             catch_log: Vec::new(),
-            escalation: crate::EscalationPolicy::new(crate::EscalationConfig::disabled()),
             cycles: 0,
             deferred: false,
             bucket: config.budget.map(TokenBucket::new),
@@ -172,9 +170,7 @@ impl AuditProcess {
     /// paper's default) and detect-only mode: findings are emitted with
     /// `RecoveryAction::Flagged` plus a precise
     /// [`FindingTarget`](crate::FindingTarget), and an external
-    /// recovery engine owns repair, escalation and verification. The
-    /// built-in escalation policy is bypassed while deferred, so the
-    /// two escalation ladders cannot fight over the same tables.
+    /// recovery engine owns repair, escalation and verification.
     pub fn set_deferred_repair(&mut self, deferred: bool) {
         self.deferred = deferred;
         self.static_audit.deferred = deferred;
@@ -190,7 +186,7 @@ impl AuditProcess {
 
     /// Re-runs one audit element over one table (or the full static
     /// region when `table` is `None`) without side effects on cycle
-    /// counters, the catch log or escalation. The recovery engine uses
+    /// counters or the catch log. The recovery engine uses
     /// this to *verify* a repair: a repaired target must no longer be
     /// reported by the element that originally detected it.
     pub fn recheck(
@@ -239,7 +235,7 @@ impl AuditProcess {
         self.extra.push(element);
     }
 
-    /// The heartbeat element (the manager queries it).
+    /// The heartbeat element (the supervisor probes it).
     pub fn heartbeat_mut(&mut self) -> &mut HeartbeatElement {
         &mut self.heartbeat
     }
@@ -357,15 +353,6 @@ impl AuditProcess {
         }
         self.shed_backlog.clone_from(&shed);
 
-        // Hierarchical escalation: repeated churn in a table reloads it
-        // wholesale; sustained churn requests a controller restart. In
-        // deferred mode the recovery engine's ladder owns escalation.
-        let restart_requested = if self.deferred {
-            false
-        } else {
-            self.escalation.observe_cycle(db, &mut findings, now)
-        };
-
         // Apply process-level recovery actions.
         for f in &findings {
             if let RecoveryAction::TerminatedClient { pid } = f.action {
@@ -385,7 +372,6 @@ impl AuditProcess {
             findings,
             records_checked,
             tables_checked: tables.len() as u64,
-            restart_requested,
             exec: Default::default(),
             degraded: !shed.is_empty(),
             tables_audited: tables,
@@ -531,17 +517,6 @@ impl AuditProcess {
             }
         }
         records_checked
-    }
-
-    /// Escalation statistics (table reloads performed, restarts
-    /// requested).
-    pub fn escalation(&self) -> &crate::EscalationPolicy {
-        &self.escalation
-    }
-
-    /// Replaces the escalation thresholds.
-    pub fn set_escalation(&mut self, config: crate::EscalationConfig) {
-        self.escalation = crate::EscalationPolicy::new(config);
     }
 }
 

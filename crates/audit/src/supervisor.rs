@@ -1,6 +1,6 @@
-//! Process-level supervision: one event-driven loop that runs the
-//! heartbeat manager (§4.1), the progress indicator (§4.2) and the
-//! escalation policy over the whole process population.
+//! Process-level supervision: one event-driven loop that plays the
+//! paper's heartbeat manager (§4.1) and runs the progress indicator
+//! (§4.2) over the whole process population.
 //!
 //! The paper's elements exist as leaves — the manager probes the audit
 //! process, the progress indicator watches the IPC activity counter —
@@ -24,10 +24,9 @@
 //!   state re-initialized from the database;
 //! * **escalation** — restart *storms* (too many restarts of one
 //!   lineage inside a window) back off exponentially, and a lineage
-//!   that exhausts its backoff ladder escalates to a controller
-//!   restart through the [`EscalationPolicy`] — the 5ESS lineage of
-//!   localized repair first, global action only when repair is
-//!   evidently not holding;
+//!   that exhausts its backoff ladder requests a controller restart —
+//!   the 5ESS lineage of localized repair first, global action only
+//!   when repair is evidently not holding;
 //! * **accounting** — every downtime interval, dropped call and
 //!   restart-by-cause lands in the [`AvailabilityLedger`].
 
@@ -37,9 +36,8 @@ use serde::{Deserialize, Serialize};
 use wtnc_db::DbApi;
 use wtnc_sim::{Pid, ProcessRegistry, ProcessState, SimDuration, SimTime};
 
-use crate::escalation::{EscalationConfig, EscalationPolicy};
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
-use crate::heartbeat::{HeartbeatElement, ManagerConfig};
+use crate::heartbeat::{HeartbeatConfig, HeartbeatElement};
 use crate::progress::{ProgressConfig, ProgressIndicator};
 
 /// What kind of process a supervised pid is.
@@ -69,14 +67,14 @@ pub enum RestartCause {
     Storm,
 }
 
-/// Supervision thresholds. Probe cadence and miss limit reuse the
-/// manager's §4.1 parameters; the global stall backstop reuses the
-/// §4.2 progress parameters.
+/// Supervision thresholds. Probe cadence and miss limit are the §4.1
+/// heartbeat parameters; the global stall backstop reuses the §4.2
+/// progress parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
     /// Heartbeat probe interval and miss limit (§4.1). The caller is
     /// expected to invoke [`Supervisor::tick`] once per interval.
-    pub heartbeat: ManagerConfig,
+    pub heartbeat: HeartbeatConfig,
     /// Global progress-indicator backstop (§4.2): counter-stall
     /// timeout and stale-lock threshold.
     pub progress: ProgressConfig,
@@ -99,7 +97,7 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            heartbeat: ManagerConfig::default(),
+            heartbeat: HeartbeatConfig::default(),
             progress: ProgressConfig::default(),
             livelock_timeout: SimDuration::from_secs(15),
             storm_window: SimDuration::from_secs(60),
@@ -157,7 +155,8 @@ pub struct AvailabilityLedger {
     /// Calls dropped because their owning process went down (reported
     /// by the workload via [`Supervisor::note_dropped_calls`]).
     pub dropped_calls: u64,
-    /// Controller restarts requested by storm escalation.
+    /// Controller restarts requested by storm escalation or a refused
+    /// restart.
     pub controller_restarts_requested: u64,
     /// Controller restarts actually executed
     /// ([`Supervisor::execute_controller_restart`]).
@@ -264,7 +263,6 @@ pub struct Supervisor {
     /// tier so stale-lock recovery keeps working even while the audit
     /// process itself is down.
     progress: ProgressIndicator,
-    escalation: EscalationPolicy,
     ledger: AvailabilityLedger,
     /// IPC-queue tap watermark: messages sent up to this count have
     /// already been observed. The supervisor only *taps* the queue
@@ -280,7 +278,6 @@ impl Supervisor {
             config,
             procs: BTreeMap::new(),
             progress: ProgressIndicator::new(config.progress),
-            escalation: EscalationPolicy::new(EscalationConfig::disabled()),
             ledger: AvailabilityLedger::default(),
             events_seen: 0,
         }
@@ -327,7 +324,7 @@ impl Supervisor {
     /// Records that `pid` was alive but denied CPU budget (a
     /// budget-shed audit cycle under storm). Distinguishes "no budget"
     /// from "no progress": the liveness watermark is refreshed so the
-    /// escalation ladder does not condemn a starved-but-healthy process
+    /// supervisor does not condemn a starved-but-healthy process
     /// as livelocked, but no activity is counted — a genuinely wedged
     /// process still times out.
     pub fn note_starved(&mut self, pid: Pid, now: SimTime) {
@@ -341,12 +338,6 @@ impl Supervisor {
     /// The availability ledger.
     pub fn ledger(&self) -> &AvailabilityLedger {
         &self.ledger
-    }
-
-    /// The shared escalation policy (restart storms land in its
-    /// `restarts_requested` ledger).
-    pub fn escalation(&self) -> &EscalationPolicy {
-        &self.escalation
     }
 
     /// Total downtime as of `now`: completed intervals plus every
@@ -583,7 +574,6 @@ impl Supervisor {
             s.backoffs += 1;
             if s.backoffs > config.escalate_after_backoffs {
                 s.escalated = true;
-                self.escalation.observe_restart_storm();
                 self.ledger.controller_restarts_requested += 1;
                 report.controller_restart_requested = true;
                 report.findings.push(Finding {
@@ -655,7 +645,6 @@ impl Supervisor {
                 // The registry refused: local recovery is impossible.
                 let s = self.procs.get_mut(&pid).expect("registered");
                 s.escalated = true;
-                self.escalation.observe_restart_storm();
                 self.ledger.controller_restarts_requested += 1;
                 report.controller_restart_requested = true;
                 report.findings.push(Finding {
@@ -734,7 +723,7 @@ mod tests {
 
     fn fast_config() -> SupervisorConfig {
         SupervisorConfig {
-            heartbeat: ManagerConfig { interval: SimDuration::from_secs(1), miss_limit: 3 },
+            heartbeat: HeartbeatConfig { interval: SimDuration::from_secs(1), miss_limit: 3 },
             livelock_timeout: SimDuration::from_secs(5),
             storm_window: SimDuration::from_secs(60),
             storm_threshold: 2,
@@ -763,23 +752,51 @@ mod tests {
 
     #[test]
     fn crashed_client_is_detected_and_warm_restarted() {
+        // A crashed audit process goes through the same rule as a
+        // crashed client, even with its heartbeat element reachable.
+        for role in [SupervisedRole::Client, SupervisedRole::Audit] {
+            let (mut api, mut registry, mut sup) = setup();
+            let pid = registry.spawn("proc", SimTime::ZERO);
+            sup.register(pid, role, false, SimTime::ZERO);
+            registry.crash(pid, SimTime::from_secs(2));
+            let mut element = HeartbeatElement::new();
+            let mut restarts = Vec::new();
+            for s in 3..=5 {
+                // Nothing before the miss limit.
+                assert!(restarts.is_empty(), "{role:?} restarted early at t={s}");
+                let now = SimTime::from_secs(s);
+                restarts
+                    .extend(sup.tick(&mut api, &mut registry, Some(&mut element), now).restarts);
+            }
+            assert_eq!(restarts.len(), 1, "{role:?}");
+            let (old, new) = restarts[0];
+            assert_eq!(old, pid);
+            assert!(registry.is_alive(new));
+            assert_eq!(element.queries(), 0, "a crashed process answers nothing");
+            let rec = &sup.ledger().restarts[0];
+            assert_eq!((rec.role, rec.cause), (role, RestartCause::Crash));
+            // Downtime starts at the crash (t=2), detection at the third
+            // missed probe (t=5: probes at 3, 4, 5 all miss).
+            assert_eq!(rec.down_since, SimTime::from_secs(2));
+            assert_eq!(rec.condemned_at, SimTime::from_secs(5));
+            assert_eq!(rec.restarted_at, SimTime::from_secs(5));
+        }
+
+        // A pid the registry does not know cannot be restarted: the
+        // miss limit surfaces a controller-restart request instead.
         let (mut api, mut registry, mut sup) = setup();
-        let client = registry.spawn("client", SimTime::ZERO);
-        sup.register(client, SupervisedRole::Client, false, SimTime::ZERO);
-        registry.crash(client, SimTime::from_secs(2));
-        let reports = ticks(&mut sup, &mut api, &mut registry, 3, 5);
-        let restarts: Vec<_> = reports.iter().flat_map(|r| r.restarts.clone()).collect();
-        assert_eq!(restarts.len(), 1);
-        let (old, new) = restarts[0];
-        assert_eq!(old, client);
-        assert!(registry.is_alive(new));
-        let rec = &sup.ledger().restarts[0];
-        assert_eq!(rec.cause, RestartCause::Crash);
-        // Downtime starts at the crash (t=2), detection at the third
-        // missed probe (t=5: probes at 3, 4, 5 all miss).
-        assert_eq!(rec.down_since, SimTime::from_secs(2));
-        assert_eq!(rec.condemned_at, SimTime::from_secs(5));
-        assert_eq!(rec.restarted_at, SimTime::from_secs(5));
+        sup.register(Pid(999), SupervisedRole::Audit, false, SimTime::ZERO);
+        let reports = ticks(&mut sup, &mut api, &mut registry, 1, 3);
+        assert!(reports.iter().all(|r| r.restarts.is_empty()));
+        assert!(reports[2].controller_restart_requested);
+        let refused: Vec<_> = reports
+            .iter()
+            .flat_map(|r| &r.findings)
+            .filter(|f| f.action == RecoveryAction::RequestedControllerRestart)
+            .collect();
+        assert_eq!(refused.len(), 1);
+        assert_eq!(refused[0].element, AuditElementKind::Heartbeat);
+        assert_eq!(sup.ledger().controller_restarts_requested, 1);
     }
 
     #[test]
@@ -859,7 +876,6 @@ mod tests {
         assert!(backoff_seen, "a storm must back off before escalating");
         assert!(escalated_at.is_some(), "the ladder must escalate");
         assert_eq!(sup.ledger().controller_restarts_requested, 1);
-        assert_eq!(sup.escalation().restarts_requested, 1);
 
         // The global action restarts the lineage and clears its state.
         let now = escalated_at.unwrap() + SimDuration::from_secs(1);
@@ -884,14 +900,24 @@ mod tests {
         let r = sup.tick(&mut api, &mut registry, Some(&mut element), SimTime::from_secs(1));
         assert!(r.restarts.is_empty());
         assert_eq!(element.queries(), 1);
+        // An unreachable element misses; a reply resets the miss count,
+        // so pairs of misses separated by replies never reach the limit
+        // of three.
+        let probes = [(2, false), (3, false), (4, true), (5, false), (6, false), (7, true)];
+        for (s, reachable) in probes {
+            let el = if reachable { Some(&mut element) } else { None };
+            let r = sup.tick(&mut api, &mut registry, el, SimTime::from_secs(s));
+            assert!(r.restarts.is_empty(), "restarted at t={s} despite the reply at t=4");
+        }
+        assert_eq!(element.queries(), 3);
         // Hung-but-alive: the element is reachable but must not reply.
         registry.set_responsiveness(audit, Responsiveness::Hung);
         let mut restarts = Vec::new();
-        for s in 2..=4 {
+        for s in 8..=10 {
             let r = sup.tick(&mut api, &mut registry, Some(&mut element), SimTime::from_secs(s));
             restarts.extend(r.restarts);
         }
-        assert_eq!(element.queries(), 1, "no replies while hung");
+        assert_eq!(element.queries(), 3, "no replies while hung");
         assert_eq!(restarts.len(), 1);
         assert_eq!(sup.ledger().restarts[0].cause, RestartCause::Hang);
         assert_eq!(sup.ledger().restarts[0].role, SupervisedRole::Audit);

@@ -17,7 +17,7 @@
 //! | [`db`] | `wtnc-db` | the in-memory database, catalog, API, taint ledger |
 //! | [`isa`] | `wtnc-isa` | the 32-bit RISC machine and assembler |
 //! | [`pecos`] | `wtnc-pecos` | PECOS instrumentation and signal handling |
-//! | [`audit`] | `wtnc-audit` | audit elements, triggers, scheduling, manager |
+//! | [`audit`] | `wtnc-audit` | audit elements, triggers, scheduling, supervisor |
 //! | [`callproc`] | `wtnc-callproc` | the DES and ISA call-processing clients |
 //! | [`recovery`] | `wtnc-recovery` | staged detect→diagnose→repair→verify engine |
 //! | [`inject`] | `wtnc-inject` | fault injection and the paper's campaigns |
@@ -54,8 +54,8 @@ pub use wtnc_sim as sim;
 pub use wtnc_store as store;
 
 use wtnc_audit::{
-    AuditConfig, AuditProcess, AuditReport, HeartbeatElement, Manager, ManagerConfig,
-    SupervisedRole, SupervisionReport, Supervisor, SupervisorConfig,
+    AuditConfig, AuditProcess, AuditReport, HeartbeatElement, SupervisedRole, SupervisionReport,
+    Supervisor, SupervisorConfig,
 };
 use wtnc_audit::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use wtnc_db::{Database, DbApi, DbError, TableDef, TaintEntry, TaintFate};
@@ -76,7 +76,8 @@ pub struct StoreSyncReport {
 }
 
 /// The assembled controller node: database, client API, process
-/// registry, and (optionally) the manager-supervised audit process.
+/// registry, and (optionally) the audit process, the recovery engine
+/// and the supervisor that watches both clients and the audit process.
 ///
 /// This is a facade for examples, tests and harnesses; the underlying
 /// pieces stay public so advanced callers can drive them directly.
@@ -89,7 +90,6 @@ pub struct Controller {
     /// Simulated process registry.
     pub registry: ProcessRegistry,
     audit: Option<(Pid, AuditProcess)>,
-    manager: Option<Manager>,
     recovery: Option<RecoveryEngine>,
     supervisor: Option<Supervisor>,
     durable: Option<Store>,
@@ -109,7 +109,6 @@ impl Controller {
             api: DbApi::new(),
             registry: ProcessRegistry::new(),
             audit: None,
-            manager: None,
             recovery: None,
             supervisor: None,
             durable: None,
@@ -124,11 +123,12 @@ impl Controller {
         Self::new(wtnc_db::schema::standard_schema()).expect("standard schema is valid")
     }
 
-    /// Attaches the audit subsystem and its supervising manager.
+    /// Attaches the audit process. It is supervised (heartbeat probes,
+    /// restart on crash or hang) once [`Controller::with_supervision`]
+    /// is attached as well.
     pub fn with_audit(mut self, config: AuditConfig) -> Self {
         let pid = self.registry.spawn("audit", SimTime::ZERO);
         let audit = AuditProcess::new(config, &self.db);
-        self.manager = Some(Manager::new(ManagerConfig::default(), pid));
         self.audit = Some((pid, audit));
         self
     }
@@ -350,28 +350,30 @@ impl Controller {
     /// new pid.
     pub fn supervise_tick(&mut self, now: SimTime) -> Option<SupervisionReport> {
         let supervisor = self.supervisor.as_mut()?;
-        let audit_pid = self.audit.as_ref().map(|(pid, _)| *pid);
         let element = self.audit.as_mut().map(|(_, a)| a.heartbeat_mut());
         let mut report = supervisor.tick(&mut self.api, &mut self.registry, element, now);
-        let mut restarts = report.restarts.clone();
         if report.controller_restart_requested {
-            restarts.extend(self.execute_controller_restart(now));
+            report.restarts.extend(self.execute_controller_restart(now));
             report.controller_restart_requested = false;
         }
-        for &(old, new) in &restarts {
-            if Some(old) == audit_pid {
-                if let Some((pid, audit)) = self.audit.as_mut() {
+        self.rebind(&report.restarts, now);
+        Some(report)
+    }
+
+    /// Re-binds the controller's handles after restarts: a restarted
+    /// audit process gets a fresh heartbeat element and the audit
+    /// handle moves to its new pid; a warm-restarted client re-opens
+    /// its connection, state re-initialized from the database.
+    fn rebind(&mut self, restarts: &[(Pid, Pid)], now: SimTime) {
+        for &(old, new) in restarts {
+            match self.audit.as_mut() {
+                Some((pid, audit)) if *pid == old => {
                     *pid = new;
                     *audit.heartbeat_mut() = HeartbeatElement::new();
                 }
-            } else {
-                // A warm-restarted client re-opens its connection:
-                // state re-initialized from the database.
-                self.api.init_at(new, now);
+                _ => self.api.init_at(new, now),
             }
         }
-        report.restarts = restarts;
-        Some(report)
     }
 
     /// The global action: restore the whole database image and restart
@@ -437,6 +439,14 @@ impl Controller {
     /// recovery-engine cycle over the flagged findings. Requires both
     /// the audit subsystem and the recovery engine
     /// ([`Controller::with_recovery`]).
+    ///
+    /// When the engine climbs to [`wtnc_recovery::Rung::ControllerRestart`]
+    /// and a supervisor is attached, the restart is executed the same
+    /// way [`Controller::supervise_tick`] executes one: the database
+    /// image is restored (from disk when a store is attached), every
+    /// supervised process restarts, and the handles re-bind. The
+    /// outcome's `restart_requested` is then cleared. Without a
+    /// supervisor it stays set for the caller.
     pub fn run_recovery_cycle(&mut self, now: SimTime) -> Option<(AuditReport, CycleOutcome)> {
         let report = self.run_audit_cycle(now)?;
         // With a durable store attached, repairs draw on the on-disk
@@ -462,30 +472,18 @@ impl Controller {
         let engine = self.recovery.as_mut()?;
         engine.ingest(&report.findings, now);
         let (_, audit) = self.audit.as_mut().expect("audit attached");
-        let outcome = engine.run_cycle(&mut self.db, &mut self.api, &mut self.registry, audit, now);
+        let mut outcome =
+            engine.run_cycle(&mut self.db, &mut self.api, &mut self.registry, audit, now);
+        if outcome.restart_requested && self.supervisor.is_some() {
+            let swept = self.execute_controller_restart(now);
+            self.rebind(&swept, now);
+            outcome.restart_requested = false;
+        }
         Some((report, outcome))
     }
 
-    /// One manager heartbeat round: queries the audit process's
-    /// heartbeat element and restarts the process after repeated
-    /// misses. Returns the new audit pid when a restart happened.
-    pub fn manager_beat(&mut self, now: SimTime) -> Option<Pid> {
-        let manager = self.manager.as_mut()?;
-        let element = self.audit.as_mut().map(|(_, a)| a.heartbeat_mut());
-        // The manager's findings (restarts, refused-restart controller
-        // requests) are informational here; the facade exposes the
-        // restart through its return value.
-        let mut findings = Vec::new();
-        let restarted = manager.beat(element, &mut self.registry, now, &mut findings);
-        if let (Some(new_pid), Some((pid, audit))) = (restarted, self.audit.as_mut()) {
-            *pid = new_pid;
-            *audit.heartbeat_mut() = HeartbeatElement::new();
-        }
-        restarted
-    }
-
     /// Simulates the audit process crashing (for failure-injection
-    /// tests of the manager path).
+    /// tests of the supervision path).
     pub fn crash_audit_process(&mut self, now: SimTime) {
         if let Some((pid, _)) = &self.audit {
             self.registry.crash(*pid, now);
@@ -559,19 +557,24 @@ mod tests {
 
     #[test]
     fn manager_restarts_crashed_audit() {
-        let mut c = Controller::standard().with_audit(AuditConfig::default());
+        let mut c = Controller::standard()
+            .with_audit(AuditConfig::default())
+            .with_supervision(SupervisorConfig::default());
         c.crash_audit_process(SimTime::from_secs(5));
         assert!(!c.audit_alive());
         // Audit cycles refuse to run while dead.
         assert!(c.run_audit_cycle(SimTime::from_secs(6)).is_none());
         // Three missed heartbeats restart it.
-        let mut restarted = None;
+        let mut restarted = Vec::new();
         for s in 6..12 {
-            restarted = restarted.or(c.manager_beat(SimTime::from_secs(s)));
+            restarted.extend(c.supervise_tick(SimTime::from_secs(s)).unwrap().restarts);
         }
-        assert!(restarted.is_some());
+        assert_eq!(restarted.len(), 1);
         assert!(c.audit_alive());
         assert!(c.run_audit_cycle(SimTime::from_secs(12)).is_some());
+        let ledger = c.supervisor().unwrap().ledger();
+        assert_eq!(ledger.restarts[0].role, SupervisedRole::Audit);
+        assert_eq!(ledger.restarts[0].cause, wtnc_audit::RestartCause::Crash);
     }
 
     #[test]
@@ -596,7 +599,6 @@ mod tests {
         let mut c = Controller::standard();
         assert!(!c.audit_alive());
         assert!(c.run_audit_cycle(SimTime::from_secs(1)).is_none());
-        assert!(c.manager_beat(SimTime::from_secs(1)).is_none());
         assert!(c.supervise_tick(SimTime::from_secs(1)).is_none());
     }
 

@@ -54,20 +54,11 @@ pub struct TextCampaignConfig {
     pub step_budget: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Run the client on the machine's predecoded fast path. Outcomes
-    /// are identical either way (the engines are semantics-preserving);
-    /// `false` exists for parity testing and overhead benchmarks.
-    #[serde(default = "default_fast_path")]
-    pub fast_path: bool,
-    /// Explicit engine selection, overriding `fast_path` when set
-    /// (same precedence as [`MachineConfig::effective_engine`]). Lets
-    /// parity campaigns pin all three engines individually.
+    /// The machine engine the client runs on. Outcomes are identical
+    /// on every engine (they are semantics-preserving); the choice
+    /// exists for parity testing and overhead benchmarks.
     #[serde(default)]
-    pub engine: Option<Engine>,
-}
-
-fn default_fast_path() -> bool {
-    true
+    pub engine: Engine,
 }
 
 impl Default for TextCampaignConfig {
@@ -83,8 +74,7 @@ impl Default for TextCampaignConfig {
             audit_every_steps: 4_000,
             step_budget: 400_000,
             seed: 0xD5A1,
-            fast_path: default_fast_path(),
-            engine: None,
+            engine: Engine::default(),
         }
     }
 }
@@ -133,11 +123,7 @@ pub fn run_one(config: &TextCampaignConfig, seed: u64) -> RunOutcome {
         )
     });
 
-    let machine_cfg = MachineConfig {
-        fast_path: config.fast_path,
-        engine: config.engine,
-        ..MachineConfig::default()
-    };
+    let machine_cfg = MachineConfig { engine: config.engine, ..MachineConfig::default() };
     let mut machine = Machine::load(&program, machine_cfg);
     if machine.engine() != Engine::Slow {
         if let Some(m) = &meta {
@@ -400,8 +386,7 @@ mod tests {
             audit_every_steps: 2_000,
             step_budget: 200_000,
             seed: 0xBEEF,
-            fast_path: true,
-            engine: None,
+            engine: Engine::default(),
         }
     }
 

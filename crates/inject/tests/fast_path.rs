@@ -44,10 +44,10 @@ fn warmed_assertion_block_observes_interior_injection() {
     // executions), inject an undecodable word over the block's DIVU,
     // then continue. The stale Hot slot (and stale fused plan) must
     // not survive the store.
-    let drive = |fast_path: bool| {
+    let drive = |engine: Engine| {
         let mut m =
-            Machine::load(&inst.program, MachineConfig { fast_path, ..MachineConfig::default() });
-        if fast_path {
+            Machine::load(&inst.program, MachineConfig { engine, ..MachineConfig::default() });
+        if engine != Engine::Slow {
             inst.meta.install_fast_path(&mut m);
         }
         let t = m.spawn_thread(inst.program.entry);
@@ -58,8 +58,8 @@ fn warmed_assertion_block_observes_interior_injection() {
         let regs: Vec<u64> = (0..16).map(|r| m.reg(t, r).unwrap()).collect();
         (out, m.thread_state(t), m.pc(t), regs, m.total_steps(), m.fused_supersteps())
     };
-    let fast = drive(true);
-    let slow = drive(false);
+    let fast = drive(Engine::Superblock);
+    let slow = drive(Engine::Slow);
 
     // The corruption was observed at the corrupted word...
     match fast.0 {
@@ -99,8 +99,7 @@ fn run_one_outcomes_identical_across_engines() {
                 audit_every_steps: 2_000,
                 step_budget: 150_000,
                 seed: 0,
-                fast_path: engine != Engine::Slow,
-                engine: Some(engine),
+                engine,
             };
             for seed in 0..20u64 {
                 let slow = run_one(&config(Engine::Slow), seed);
@@ -187,7 +186,7 @@ proptest! {
         let load = |engine: Engine| {
             let mut m = Machine::load(
                 &inst.program,
-                MachineConfig { fast_path: engine != Engine::Slow, engine: Some(engine), ..MachineConfig::default() },
+                MachineConfig { engine, ..MachineConfig::default() },
             );
             if engine != Engine::Slow {
                 inst.meta.install_fast_path(&mut m);

@@ -27,12 +27,10 @@ proptest! {
         audits in any::<bool>(),
         model in arb_model(),
         directed in any::<bool>(),
-        fast_path in any::<bool>(),
         engine in prop_oneof![
-            Just(None),
-            Just(Some(wtnc_isa::Engine::Slow)),
-            Just(Some(wtnc_isa::Engine::Decoded)),
-            Just(Some(wtnc_isa::Engine::Superblock)),
+            Just(wtnc_isa::Engine::Slow),
+            Just(wtnc_isa::Engine::Decoded),
+            Just(wtnc_isa::Engine::Superblock),
         ],
         seed in any::<u64>(),
     ) {
@@ -51,7 +49,6 @@ proptest! {
             audit_every_steps: 2_000,
             step_budget: 150_000,
             seed: 0,
-            fast_path,
             engine,
         };
         let outcome = run_one(&config, seed);

@@ -26,7 +26,7 @@ use crate::ThreadId;
 /// are observationally identical — same retired-step counts, exception
 /// PCs/kinds, register files and `peek_next` sequences — and differ
 /// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum Engine {
     /// The original word-at-a-time interpreter: strict decode on every
@@ -37,7 +37,9 @@ pub enum Engine {
     Decoded,
     /// The superblock compiler on top of the decoded cache: hot
     /// straight-line regions run as direct-threaded plans chaining
-    /// instructions and fused supersteps across basic blocks.
+    /// instructions and fused supersteps across basic blocks. The
+    /// default.
+    #[default]
     Superblock,
 }
 
@@ -74,37 +76,21 @@ pub struct MachineConfig {
     /// Maximum size of a PECOS target table; a stored count above this
     /// is treated as a failed assertion (corrupted table).
     pub max_pckt_table: u32,
-    /// Back-compat fast-path switch: `false` selects [`Engine::Slow`],
-    /// `true` (the default) selects the fastest engine unless
-    /// [`MachineConfig::engine`] picks one explicitly.
-    #[serde(default = "default_fast_path")]
-    pub fast_path: bool,
-    /// Explicit engine selection; `None` derives it from `fast_path`.
+    /// The execution engine ([`Engine::Superblock`] by default).
     #[serde(default)]
-    pub engine: Option<Engine>,
-}
-
-fn default_fast_path() -> bool {
-    true
+    pub engine: Engine,
 }
 
 impl MachineConfig {
-    /// The engine actually in effect: an explicit [`Self::engine`]
-    /// wins; otherwise `fast_path` maps to superblock (on) or slow
-    /// (off).
+    /// The engine this configuration selects.
     pub fn effective_engine(&self) -> Engine {
-        self.engine.unwrap_or(if self.fast_path { Engine::Superblock } else { Engine::Slow })
+        self.engine
     }
 }
 
 impl Default for MachineConfig {
     fn default() -> Self {
-        MachineConfig {
-            data_words: 4_096,
-            max_pckt_table: 1_024,
-            fast_path: default_fast_path(),
-            engine: None,
-        }
+        MachineConfig { data_words: 4_096, max_pckt_table: 1_024, engine: Engine::default() }
     }
 }
 
@@ -1253,10 +1239,7 @@ mod tests {
         let budgets = [1u64, 2, 3, 5, 7, 16, 31, 4, 9];
         for threads in [1usize, 2] {
             let drive = |engine: Engine| {
-                let mut m = Machine::load(
-                    &p,
-                    MachineConfig { engine: Some(engine), ..MachineConfig::default() },
-                );
+                let mut m = Machine::load(&p, MachineConfig { engine, ..MachineConfig::default() });
                 for _ in 0..threads {
                     m.spawn_thread(0);
                 }
@@ -1338,17 +1321,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_parse_names_and_precedence() {
+    fn engine_parse_names_and_default() {
         for engine in Engine::ALL {
             assert_eq!(Engine::parse(engine.name()), Some(engine));
+            let config = MachineConfig { engine, ..Default::default() };
+            assert_eq!(config.effective_engine(), engine);
         }
         assert_eq!(Engine::parse("warp"), None);
-        let explicit =
-            MachineConfig { fast_path: true, engine: Some(Engine::Slow), ..Default::default() };
-        assert_eq!(explicit.effective_engine(), Engine::Slow, "explicit engine wins");
-        let legacy_fast = MachineConfig { fast_path: true, engine: None, ..Default::default() };
-        assert_eq!(legacy_fast.effective_engine(), Engine::Superblock);
-        let legacy_slow = MachineConfig { fast_path: false, engine: None, ..Default::default() };
-        assert_eq!(legacy_slow.effective_engine(), Engine::Slow);
+        assert_eq!(MachineConfig::default().effective_engine(), Engine::Superblock);
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use wtnc_isa::{
-    asm, decode, encode, Inst, Machine, MachineConfig, NoSyscalls, Program, StepOutcome,
+    asm, decode, encode, Engine, Inst, Machine, MachineConfig, NoSyscalls, Program, StepOutcome,
 };
 
 fn arb_reg() -> impl Strategy<Value = u8> {
@@ -116,18 +116,15 @@ proptest! {
     ) {
         let program =
             Program { text, symbols: std::collections::BTreeMap::new(), entry: 0 };
-        let mk = |fast_path: bool| {
-            let mut m = Machine::load(
-                &program,
-                MachineConfig { fast_path, ..MachineConfig::default() },
-            );
+        let mk = |engine: Engine| {
+            let mut m = Machine::load(&program, MachineConfig { engine, ..MachineConfig::default() });
             for _ in 0..threads {
                 m.spawn_thread(program.entry);
             }
             m
         };
-        let mut fast = mk(true);
-        let mut slow = mk(false);
+        let mut fast = mk(Engine::Superblock);
+        let mut slow = mk(Engine::Slow);
         for step in 0..1_500u64 {
             for &(at, ref idx, word) in &corruptions {
                 if at == step {

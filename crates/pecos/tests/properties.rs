@@ -2,7 +2,7 @@
 //! observable behaviour of a correct program.
 
 use proptest::prelude::*;
-use wtnc_isa::{asm::Assembly, Machine, MachineConfig, NoSyscalls, ThreadState};
+use wtnc_isa::{asm::Assembly, Engine, Machine, MachineConfig, NoSyscalls, ThreadState};
 use wtnc_pecos::instrument;
 
 /// Generates a random structured program that always terminates:
@@ -129,11 +129,9 @@ proptest! {
             (addr, inst.program.text[addr] ^ (1 << bit))
         });
 
-        let run = |fast_path: bool, fused: bool| {
-            let mut m = Machine::load(
-                &inst.program,
-                MachineConfig { fast_path, ..MachineConfig::default() },
-            );
+        let run = |engine: Engine, fused: bool| {
+            let mut m =
+                Machine::load(&inst.program, MachineConfig { engine, ..MachineConfig::default() });
             if fused {
                 inst.meta.install_fast_path(&mut m);
             }
@@ -149,9 +147,9 @@ proptest! {
             )
         };
 
-        let (slow, _) = run(false, false);
-        let (fast, _) = run(true, false);
-        let (fused, supersteps) = run(true, true);
+        let (slow, _) = run(Engine::Slow, false);
+        let (fast, _) = run(Engine::Superblock, false);
+        let (fused, supersteps) = run(Engine::Superblock, true);
         prop_assert_eq!(&slow, &fast, "predecoded engine diverged from slow engine");
         prop_assert_eq!(&slow, &fused, "fused superstep diverged from slow engine");
         // The parity above must not be vacuous: every generated program

@@ -27,7 +27,7 @@ pub enum Rung {
     /// re-corrupting the data) and re-initialize the record.
     ClientRestart,
     /// Reload the entire database and request a controller restart
-    /// from the manager.
+    /// (executed by the supervisor when one is attached).
     ControllerRestart,
 }
 
@@ -150,8 +150,9 @@ pub struct CycleOutcome {
     pub tokens_spent: u32,
     /// Controller busy time consumed by the repairs.
     pub busy: SimDuration,
-    /// The top rung executed: the manager should restart the
-    /// controller.
+    /// The top rung executed: the caller owns the process half of the
+    /// controller restart (`wtnc::Controller` runs it through its
+    /// supervisor when one is attached).
     pub restart_requested: bool,
 }
 
@@ -705,6 +706,37 @@ mod tests {
         let rungs: Vec<Rung> = engine.log().iter().map(|e| e.rung).collect();
         assert_eq!(rungs, vec![Rung::FieldRepair, Rung::RecordReinit]);
         assert!(!db.is_active(rec).unwrap(), "reinit restored the free slot");
+
+        // The whole ladder: a static field corrupted again every round
+        // keeps one target, which climbs one rung per `escalate_after`
+        // verified repairs, reaches the controller restart and stays.
+        for escalate_after in 1..=3u32 {
+            let (mut db, mut api, mut registry, mut audit, _) = setup();
+            let mut engine =
+                RecoveryEngine::new(RecoveryConfig { escalate_after, ..RecoveryConfig::default() });
+            let rec = RecordRef::new(schema::SYSCONFIG_TABLE, 0);
+            let (off, _) = db.field_extent(rec, schema::sysconfig::MAX_CALLS).unwrap();
+            let rounds = 5 * escalate_after + 2;
+            let mut restarts = 0;
+            for round in 0..rounds {
+                let now = SimTime::from_secs(10 * u64::from(round + 1));
+                db.flip_bit(off, 2).unwrap();
+                let report = audit.run_cycle(&mut db, &mut api, &mut registry, now);
+                engine.ingest(&report.findings, now);
+                let cycle = engine.run_cycle(&mut db, &mut api, &mut registry, &mut audit, now);
+                assert_eq!(cycle.verified, 1, "escalate_after {escalate_after} round {round}");
+                restarts += u32::from(cycle.restart_requested);
+            }
+            let rungs: Vec<Rung> = engine.log().iter().map(|e| e.rung).collect();
+            let expected: Vec<Rung> = (0..rounds)
+                .map(|r| Rung::LADDER[((r / escalate_after) as usize).min(Rung::LADDER.len() - 1)])
+                .collect();
+            assert_eq!(rungs, expected, "escalate_after {escalate_after}");
+            // Every round from the fifth multiple on ran the top rung.
+            assert_eq!(restarts, rounds - 4 * escalate_after);
+            assert_eq!(engine.stats().controller_restarts, u64::from(restarts));
+            assert_eq!(db.read_field_raw(rec, schema::sysconfig::MAX_CALLS).unwrap(), 1_000);
+        }
     }
 
     #[test]

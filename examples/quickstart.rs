@@ -13,7 +13,7 @@ use wtnc::Controller;
 fn main() {
     // A controller node with the standard telephone-controller schema
     // (catalog + config tables + the process/connection/resource loop)
-    // and the manager-supervised audit process.
+    // and the audit process.
     let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
         "controller up: {} tables, {} byte database image, audit alive = {}",

@@ -2,13 +2,16 @@
 //! that cross every crate boundary (database ↔ audit ↔ clients ↔
 //! PECOS ↔ injection).
 
-use wtnc::audit::{AuditConfig, AuditElementKind, RecoveryAction};
+use wtnc::audit::{
+    AuditConfig, AuditElementKind, RecoveryAction, RestartCause, SupervisedRole, SupervisorConfig,
+};
 use wtnc::callproc::{
     AsmClientConfig, BridgeStats, CallOutcome, DbSyscallBridge, DesClient, WorkloadConfig,
 };
 use wtnc::db::{schema, Database, DbApi, RecordRef};
 use wtnc::isa::{asm::Assembly, Machine, MachineConfig, StepOutcome, ThreadState};
 use wtnc::pecos::{handle_exception, instrument, PecosVerdict};
+use wtnc::recovery::{RecoveryConfig, Rung};
 use wtnc::sim::{Pid, SimDuration, SimTime};
 use wtnc::Controller;
 
@@ -46,10 +49,13 @@ fn injected_errors_are_repaired_and_service_continues() {
     );
 }
 
-/// The manager restarts a crashed audit process; protection resumes.
+/// The supervisor, in the paper's manager role, restarts a crashed
+/// audit process; protection resumes.
 #[test]
 fn manager_restores_audit_protection_after_crash() {
-    let mut c = Controller::standard().with_audit(AuditConfig::default());
+    let mut c = Controller::standard()
+        .with_audit(AuditConfig::default())
+        .with_supervision(SupervisorConfig::default());
     c.crash_audit_process(SimTime::from_secs(5));
     assert!(!c.audit_alive());
 
@@ -62,9 +68,10 @@ fn manager_restores_audit_protection_after_crash() {
 
     // Heartbeats detect the failure and restart the process.
     for s in 8..14 {
-        c.manager_beat(SimTime::from_secs(s));
+        c.supervise_tick(SimTime::from_secs(s));
     }
     assert!(c.audit_alive());
+    assert_eq!(c.supervisor().unwrap().ledger().restarts_by_cause(RestartCause::Crash), 1);
     let report = c.run_audit_cycle(SimTime::from_secs(20)).unwrap();
     assert_eq!(report.caught_count(), 1);
     assert_eq!(c.db.taint().latent_count(), 0);
@@ -307,49 +314,40 @@ fn reconfiguration_is_not_mistaken_for_corruption() {
     assert_eq!(c.db.read_field_raw(rec, schema::sysconfig::N_CPUS).unwrap(), 8);
 }
 
-/// Persistent corruption in one table escalates: localized repairs
-/// give way to a wholesale table reload and eventually a controller
-/// restart request (the 5ESS-style recovery hierarchy).
+/// Corruption that keeps coming back climbs the recovery ladder one
+/// rung per verified repair until the top rung restarts the whole
+/// controller through the supervisor (the 5ESS-style recovery
+/// hierarchy: local repair first, global action last).
 #[test]
 fn sustained_churn_escalates_hierarchically() {
-    let mut c = Controller::standard().with_audit(AuditConfig::default());
-    c.audit_mut().unwrap().set_escalation(wtnc::audit::EscalationConfig {
-        table_cycles: 2,
-        restart_after_reloads: 2,
-    });
-    let client = Pid(1);
-    c.api.init(client);
-
-    let mut saw_table_reload = false;
-    let mut saw_restart_request = false;
-    for cycle in 1..=12u64 {
-        // A flaky memory bank keeps corrupting the connection table.
-        let idx = c
-            .api
-            .alloc_record(
-                &mut c.db,
-                client,
-                schema::CONNECTION_TABLE,
-                SimTime::from_secs(cycle * 10),
-            )
-            .unwrap();
-        let rec = RecordRef::new(schema::CONNECTION_TABLE, idx);
-        let (off, _) = c.db.field_extent(rec, schema::connection::STATE).unwrap();
-        c.inject_bit_flip(off, 7, SimTime::from_secs(cycle * 10));
-
-        let report = c.run_audit_cycle(SimTime::from_secs(cycle * 10 + 5)).unwrap();
-        saw_table_reload |= report.findings.iter().any(|f| {
-            matches!(f.action, RecoveryAction::ReloadedRange { .. })
-                && f.detail.contains("escalation")
-        });
-        saw_restart_request |= report.restart_requested;
-        if saw_restart_request {
-            break;
-        }
+    let mut c = Controller::standard()
+        .with_audit(AuditConfig::default())
+        .with_recovery(RecoveryConfig { escalate_after: 1, ..RecoveryConfig::default() })
+        .with_supervision(SupervisorConfig::default());
+    let audit_pid = |c: &Controller| {
+        c.supervisor().unwrap().supervised().find(|&(_, role)| role == SupervisedRole::Audit)
+    };
+    let (old_audit, _) = audit_pid(&c).expect("audit supervised");
+    // A flaky memory bank keeps corrupting the same configuration field.
+    let rec = RecordRef::new(schema::SYSCONFIG_TABLE, 0);
+    let (off, _) = c.db.field_extent(rec, schema::sysconfig::MAX_CALLS).unwrap();
+    for cycle in 1..=5u64 {
+        c.inject_bit_flip(off, 4, SimTime::from_secs(cycle * 10));
+        let (_, outcome) = c.run_recovery_cycle(SimTime::from_secs(cycle * 10 + 5)).unwrap();
+        assert_eq!(outcome.verified, 1, "cycle {cycle}");
+        assert!(!outcome.restart_requested, "an attached supervisor executes the restart");
     }
-    assert!(saw_table_reload, "table-level escalation expected");
-    assert!(saw_restart_request, "controller restart request expected");
-    let stats = c.audit_mut().unwrap().escalation();
-    assert!(stats.table_reloads >= 2);
-    assert_eq!(stats.restarts_requested, 1);
+    let rungs: Vec<Rung> = c.recovery().unwrap().log().iter().map(|e| e.rung).collect();
+    assert_eq!(rungs, Rung::LADDER.to_vec(), "one rung per recurrence, up to the controller");
+
+    let ledger = c.supervisor().unwrap().ledger();
+    assert_eq!(ledger.controller_restarts_executed, 1);
+    assert!(ledger.restarts_by_cause(RestartCause::Storm) >= 1);
+    let (new_audit, _) = audit_pid(&c).expect("audit still supervised");
+    assert_ne!(new_audit, old_audit, "the audit process restarted under a fresh pid");
+    assert!(!c.registry.is_alive(old_audit));
+    assert!(c.audit_alive(), "the audit handle re-bound to the new pid");
+    assert!(c.run_recovery_cycle(SimTime::from_secs(65)).is_some(), "the next cycle runs");
+    assert_eq!(c.supervisor().unwrap().ledger().controller_restarts_executed, 1);
+    assert_eq!(c.db.read_field_raw(rec, schema::sysconfig::MAX_CALLS).unwrap(), 1_000);
 }
