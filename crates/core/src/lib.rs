@@ -444,9 +444,11 @@ impl Controller {
     /// and a supervisor is attached, the restart is executed the same
     /// way [`Controller::supervise_tick`] executes one: the database
     /// image is restored (from disk when a store is attached), every
-    /// supervised process restarts, and the handles re-bind. The
-    /// outcome's `restart_requested` is then cleared. Without a
-    /// supervisor it stays set for the caller.
+    /// supervised process restarts once (the engine's own sweep of
+    /// unresponsive processes is skipped), and the handles re-bind.
+    /// The outcome's `restart_requested` is then cleared. Without a
+    /// supervisor the engine restarts unresponsive processes itself
+    /// and the flag stays set for the caller.
     pub fn run_recovery_cycle(&mut self, now: SimTime) -> Option<(AuditReport, CycleOutcome)> {
         let report = self.run_audit_cycle(now)?;
         // With a durable store attached, repairs draw on the on-disk
@@ -470,6 +472,7 @@ impl Controller {
             }
         }
         let engine = self.recovery.as_mut()?;
+        engine.set_supervised(self.supervisor.is_some());
         engine.ingest(&report.findings, now);
         let (_, audit) = self.audit.as_mut().expect("audit attached");
         let mut outcome =

@@ -351,7 +351,7 @@ pub fn run_once(config: &PowerFailConfig, seed: u64) -> PowerFailRunResult {
                 timeline.push(image_hash(&shadow_region, &shadow_golden));
             }
             *journal_records += records.len() as u64;
-            store.append_records(&records).expect("journal append");
+            store.append_records(records).expect("journal append");
         };
         for step in 1..=config.mutations {
             workload_step(&mut db, &mut rng, &mut live).expect("workload step");

@@ -187,6 +187,9 @@ pub struct RecoveryEngine {
     catches: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     disk: Option<crate::DiskGoldenSource>,
     disk_refreshed_bytes: u64,
+    /// A supervisor owns process restarts: the top rung leaves the
+    /// process half of the controller restart to it.
+    supervised: bool,
     seq: u64,
 }
 
@@ -202,6 +205,7 @@ impl RecoveryEngine {
             catches: Vec::new(),
             disk: None,
             disk_refreshed_bytes: 0,
+            supervised: false,
             seq: 0,
         }
     }
@@ -212,6 +216,15 @@ impl RecoveryEngine {
     /// instead of trusting the surviving in-memory golden image.
     pub fn set_disk_source(&mut self, source: Option<crate::DiskGoldenSource>) {
         self.disk = source;
+    }
+
+    /// Declares whether a supervisor restarts processes on this
+    /// engine's behalf. When set, [`Rung::ControllerRestart`] only
+    /// reloads the database and leaves every process restart to the
+    /// supervisor's global action, so no lineage restarts twice;
+    /// otherwise the rung also restarts every unresponsive process.
+    pub fn set_supervised(&mut self, supervised: bool) {
+        self.supervised = supervised;
     }
 
     /// The attached repair-from-disk source, if any.
@@ -513,17 +526,20 @@ impl RecoveryEngine {
                 caught.extend(resolve(db, 0, len));
                 // The global action also restarts every process-tier
                 // casualty: a hung or livelocked process cannot survive
-                // a controller restart with its fault intact.
-                let faulty: Vec<Pid> = registry
-                    .alive()
-                    .filter(|&p| {
-                        registry.responsiveness(p) != Some(wtnc_sim::Responsiveness::Responsive)
-                    })
-                    .collect();
-                for pid in faulty {
-                    api.locks_mut().release_all(pid);
-                    registry.kill(pid, now);
-                    registry.restart(pid, now);
+                // a controller restart with its fault intact. A
+                // supervisor, when attached, restarts them instead.
+                if !self.supervised {
+                    let faulty: Vec<Pid> = registry
+                        .alive()
+                        .filter(|&p| {
+                            registry.responsiveness(p) != Some(wtnc_sim::Responsiveness::Responsive)
+                        })
+                        .collect();
+                    for pid in faulty {
+                        api.locks_mut().release_all(pid);
+                        registry.kill(pid, now);
+                        registry.restart(pid, now);
+                    }
                 }
             }
             (Rung::FieldRepair, FindingTarget::Client { pid })

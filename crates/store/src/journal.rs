@@ -19,7 +19,8 @@
 //! mismatch) cuts replay at the last valid prefix, and the damage is
 //! reported instead of a partial record ever being applied.
 
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 use wtnc_db::{crc32, CapturedMutation};
@@ -41,6 +42,11 @@ const PAYLOAD_PREFIX: usize = 1 + 8 + 8;
 /// prefix above this is treated as tail damage, not an allocation
 /// request.
 pub const MAX_PAYLOAD: usize = 16 << 20;
+
+/// Journal I/O batch size: appends and rotations write their staged
+/// frames out each time they reach this many bytes; scans read through
+/// a buffer of the same size.
+const STAGING: usize = 64 << 10;
 
 const KIND_REGION: u8 = 1;
 const KIND_GOLDEN: u8 = 2;
@@ -77,31 +83,40 @@ pub struct JournalScan {
     pub compacted_through: u64,
 }
 
+/// Appends one captured mutation to `out` as a framed journal record:
+/// header, payload and CRC written in place, no intermediate buffer.
+pub fn encode_record_into(out: &mut Vec<u8>, m: &CapturedMutation) {
+    let kind = if m.golden { KIND_GOLDEN } else { KIND_REGION };
+    encode_frame_into(out, kind, m.gen, m.offset as u64, &m.bytes);
+}
+
 /// Encodes one captured mutation as a framed journal record.
 pub fn encode_record(m: &CapturedMutation) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + m.bytes.len());
-    payload.push(if m.golden { KIND_GOLDEN } else { KIND_REGION });
-    payload.extend_from_slice(&m.gen.to_le_bytes());
-    payload.extend_from_slice(&(m.offset as u64).to_le_bytes());
-    payload.extend_from_slice(&m.bytes);
-    frame(&payload)
+    let mut out = Vec::new();
+    encode_record_into(&mut out, m);
+    out
 }
 
 /// Encodes a compaction marker sealing everything at `gen` and below.
 pub fn encode_compaction_marker(gen: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX);
-    payload.push(KIND_COMPACTION);
-    payload.extend_from_slice(&gen.to_le_bytes());
-    payload.extend_from_slice(&0u64.to_le_bytes());
-    frame(&payload)
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, KIND_COMPACTION, gen, 0, &[]);
+    out
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+fn encode_frame_into(out: &mut Vec<u8>, kind: u8, gen: u64, offset: u64, data: &[u8]) {
+    let start = out.len();
+    out.reserve(FRAME_HEADER + PAYLOAD_PREFIX + data.len());
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.push(kind);
+    out.extend_from_slice(&gen.to_le_bytes());
+    out.extend_from_slice(&offset.to_le_bytes());
+    out.extend_from_slice(data);
+    let payload = &out[start + FRAME_HEADER..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc);
 }
 
 fn decode_payload(payload: &[u8]) -> Option<CapturedMutation> {
@@ -120,19 +135,20 @@ fn decode_payload(payload: &[u8]) -> Option<CapturedMutation> {
 
 /// Scans a journal file, returning the longest valid record prefix and
 /// any tail damage. A missing file scans as empty. The scan streams
-/// frame-by-frame through one reused payload buffer instead of
-/// slurping the file and slicing fresh buffers per record.
+/// frame by frame through a 64 KiB read buffer and one reused payload
+/// buffer; it never holds the whole file.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors other than the file not existing.
 pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
-    let mut file = match std::fs::File::open(path) {
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalScan::default()),
         Err(e) => return Err(e),
     };
     let file_len = file.metadata()?.len();
+    let mut file = BufReader::with_capacity(STAGING, file);
 
     let mut scan = JournalScan::default();
     let mut header = [0u8; FRAME_HEADER];
@@ -184,21 +200,38 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
     Ok(scan)
 }
 
-/// Appends framed records to an open journal file and flushes them to
-/// the OS. Returns the number of bytes written.
+/// Appends framed records to an open journal file and makes them
+/// durable with one `fdatasync`. Frames are encoded into a staging
+/// buffer that is written out each time it reaches 64 KiB, so one
+/// write carries at most 64 KiB plus one frame. Returns the number of
+/// bytes written.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the write or flush.
-pub fn append_framed(
-    file: &mut std::fs::File,
+/// Propagates I/O errors from the write or sync.
+pub fn append_framed(file: &mut File, records: &[CapturedMutation]) -> std::io::Result<u64> {
+    write_staged(file, Vec::with_capacity(STAGING), records)
+}
+
+/// Writes `staged` followed by the frames of `records` through the
+/// staging buffer, then `sync_data` once if anything was written.
+fn write_staged(
+    file: &mut File,
+    mut staged: Vec<u8>,
     records: &[CapturedMutation],
 ) -> std::io::Result<u64> {
     let mut written = 0u64;
     for m in records {
-        let frame = encode_record(m);
-        file.write_all(&frame)?;
-        written += frame.len() as u64;
+        encode_record_into(&mut staged, m);
+        if staged.len() >= STAGING {
+            file.write_all(&staged)?;
+            written += staged.len() as u64;
+            staged.clear();
+        }
+    }
+    if !staged.is_empty() {
+        file.write_all(&staged)?;
+        written += staged.len() as u64;
     }
     if written > 0 {
         file.sync_data()?;
@@ -208,11 +241,11 @@ pub fn append_framed(
 
 /// Rotates the journal for compaction: writes a fresh journal holding
 /// a compaction marker at `horizon` followed by `retained` records to
-/// [`JOURNAL_TMP_FILE`], syncs it, and atomically renames it over
-/// [`JOURNAL_FILE`]. A crash before the rename leaves the old journal
-/// intact (the stray tmp file is ignored and removed at open); a crash
-/// after it leaves the fully-synced rotated journal. Returns the new
-/// journal's byte length.
+/// [`JOURNAL_TMP_FILE`] (staged like [`append_framed`]), syncs it once,
+/// and atomically renames it over [`JOURNAL_FILE`]. A crash before the
+/// rename leaves the old journal intact (the stray tmp file is ignored
+/// and removed at open); a crash after it leaves the fully-synced
+/// rotated journal. Returns the new journal's byte length.
 ///
 /// # Errors
 ///
@@ -223,16 +256,10 @@ pub fn rotate_journal(
     retained: &[CapturedMutation],
 ) -> std::io::Result<u64> {
     let tmp = dir.join(JOURNAL_TMP_FILE);
-    let mut file = std::fs::File::create(&tmp)?;
-    let marker = encode_compaction_marker(horizon);
-    file.write_all(&marker)?;
-    let mut bytes = marker.len() as u64;
-    for m in retained {
-        let frame = encode_record(m);
-        file.write_all(&frame)?;
-        bytes += frame.len() as u64;
-    }
-    file.sync_data()?;
+    let mut file = File::create(&tmp)?;
+    let mut staged = Vec::with_capacity(STAGING);
+    encode_frame_into(&mut staged, KIND_COMPACTION, horizon, 0, &[]);
+    let bytes = write_staged(&mut file, staged, retained)?;
     drop(file);
     std::fs::rename(&tmp, dir.join(JOURNAL_FILE))?;
     Ok(bytes)
@@ -242,9 +269,86 @@ pub fn rotate_journal(
 mod tests {
     use super::*;
     use crate::ScratchDir;
+    use proptest::prelude::*;
 
     fn sample(gen: u64, golden: bool) -> CapturedMutation {
         CapturedMutation { gen, offset: 100 + gen as usize, bytes: vec![gen as u8; 5], golden }
+    }
+
+    fn record(gen: u64, len: usize, golden: bool) -> CapturedMutation {
+        let bytes = (0..len).map(|i| (gen as usize).wrapping_add(i) as u8).collect();
+        CapturedMutation { gen, offset: gen as usize & 0xFFFF, bytes, golden }
+    }
+
+    /// Bytes staged since the last batch write after appending `records`
+    /// in one call (0 when the last frame filled a batch).
+    fn staged_tail(head: usize, records: &[CapturedMutation]) -> usize {
+        records.iter().fold(head, |acc, m| {
+            let acc = acc + encode_record(m).len();
+            if acc >= STAGING {
+                0
+            } else {
+                acc
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Staged appends and rotations write exactly the bytes of the
+        /// concatenated per-record frames, including a record larger
+        /// than one batch and a batch that ends exactly on a staging
+        /// boundary, and the scan returns the records unchanged.
+        #[test]
+        fn staged_writes_equal_concatenated_frames(
+            shapes in proptest::collection::vec((any::<u64>(), 0usize..3_000, any::<bool>()), 0..40),
+            big_len in 0usize..3 * STAGING,
+            big_at in 0usize..40,
+            exact in any::<bool>(),
+            horizon in any::<u64>(),
+        ) {
+            let mut records: Vec<_> =
+                shapes.into_iter().map(|(gen, len, golden)| record(gen, len, golden)).collect();
+            // Draws past one batch carry a whole-region-sized record.
+            if big_len >= STAGING {
+                records.insert(big_at.min(records.len()), record(7, big_len, false));
+            }
+            for head in [0, encode_compaction_marker(horizon).len()] {
+                let mut records = records.clone();
+                if exact {
+                    // Pad the call so its last batch ends exactly on
+                    // the staging boundary.
+                    let mut gap = STAGING - staged_tail(head, &records);
+                    if gap < FRAME_HEADER + PAYLOAD_PREFIX {
+                        gap += STAGING;
+                    }
+                    records.push(record(9, gap - FRAME_HEADER - PAYLOAD_PREFIX, true));
+                    prop_assert_eq!(staged_tail(head, &records), 0);
+                }
+                let mut expected = if head == 0 { Vec::new() } else { encode_compaction_marker(horizon) };
+                for m in &records {
+                    expected.extend_from_slice(&encode_record(m));
+                }
+
+                let dir = ScratchDir::new("journal-staged");
+                let path = dir.path().join(JOURNAL_FILE);
+                let written = if head == 0 {
+                    let mut file = File::create(&path).unwrap();
+                    append_framed(&mut file, &records).unwrap()
+                } else {
+                    rotate_journal(dir.path(), horizon, &records).unwrap()
+                };
+                prop_assert_eq!(written, expected.len() as u64);
+                prop_assert!(std::fs::read(&path).unwrap() == expected, "file bytes differ");
+
+                let scan = scan_journal(&path).unwrap();
+                prop_assert!(scan.damage.is_none());
+                prop_assert_eq!(scan.valid_bytes, expected.len() as u64);
+                prop_assert_eq!(scan.compacted_through, if head == 0 { 0 } else { horizon });
+                prop_assert!(scan.records == records, "scan returns the records unchanged");
+            }
+        }
     }
 
     #[test]

@@ -513,19 +513,19 @@ impl Store {
         db.set_capture(true);
     }
 
-    /// Appends records to the journal (framed, CRC'd, flushed) and the
-    /// in-memory replay cache.
+    /// Appends records to the journal (framed, CRC'd, one `fdatasync`)
+    /// and moves them into the in-memory replay cache.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if the append or flush fails.
-    pub fn append_records(&mut self, records: &[CapturedMutation]) -> Result<(), StoreError> {
+    /// Returns [`StoreError::Io`] if the append or sync fails.
+    pub fn append_records(&mut self, records: Vec<CapturedMutation>) -> Result<(), StoreError> {
         if records.is_empty() {
             return Ok(());
         }
-        self.journal_bytes += append_framed(&mut self.journal, records)?;
+        self.journal_bytes += append_framed(&mut self.journal, &records)?;
         self.journal_records += records.len() as u64;
-        self.journal_cache.extend_from_slice(records);
+        self.journal_cache.extend(records);
         Ok(())
     }
 
@@ -537,8 +537,9 @@ impl Store {
     /// Returns [`StoreError::Io`] if the append fails.
     pub fn sync(&mut self, db: &mut Database) -> Result<usize, StoreError> {
         let records = db.take_captured();
-        self.append_records(&records)?;
-        Ok(records.len())
+        let n = records.len();
+        self.append_records(records)?;
+        Ok(n)
     }
 
     /// Takes a checkpoint: syncs pending captures, then either seals a

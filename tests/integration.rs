@@ -12,7 +12,7 @@ use wtnc::db::{schema, Database, DbApi, RecordRef};
 use wtnc::isa::{asm::Assembly, Machine, MachineConfig, StepOutcome, ThreadState};
 use wtnc::pecos::{handle_exception, instrument, PecosVerdict};
 use wtnc::recovery::{RecoveryConfig, Rung};
-use wtnc::sim::{Pid, SimDuration, SimTime};
+use wtnc::sim::{Pid, Responsiveness, SimDuration, SimTime};
 use wtnc::Controller;
 
 /// End to end: inject → detect → repair → the client keeps serving
@@ -350,4 +350,51 @@ fn sustained_churn_escalates_hierarchically() {
     assert!(c.run_recovery_cycle(SimTime::from_secs(65)).is_some(), "the next cycle runs");
     assert_eq!(c.supervisor().unwrap().ledger().controller_restarts_executed, 1);
     assert_eq!(c.db.read_field_raw(rec, schema::sysconfig::MAX_CALLS).unwrap(), 1_000);
+}
+
+/// The top rung restarts each process lineage exactly once: with a
+/// supervisor attached, a client hung while holding a lock is
+/// restarted by the supervisor's global action alone, and its
+/// replacement stays supervised (no unsupervised twin is left alive).
+#[test]
+fn controller_restart_restarts_each_lineage_once() {
+    let mut c = Controller::standard()
+        .with_audit(AuditConfig::default())
+        .with_recovery(RecoveryConfig { escalate_after: 1, ..RecoveryConfig::default() })
+        .with_supervision(SupervisorConfig::default());
+    let hung = c.spawn_client("hung", SimTime::from_secs(1));
+    let rec = RecordRef::new(schema::SYSCONFIG_TABLE, 0);
+    let (off, _) = c.db.field_extent(rec, schema::sysconfig::MAX_CALLS).unwrap();
+    for cycle in 1..=5u64 {
+        if cycle == 5 {
+            // The client wedges holding a lock just before the
+            // recurring corruption reaches the top rung.
+            let idx = c
+                .api
+                .alloc_record(&mut c.db, hung, schema::CONNECTION_TABLE, SimTime::from_secs(48))
+                .unwrap();
+            c.api
+                .lock(RecordRef::new(schema::CONNECTION_TABLE, idx), hung, SimTime::from_secs(48))
+                .unwrap();
+            assert!(c.registry.set_responsiveness(hung, Responsiveness::Hung));
+        }
+        c.inject_bit_flip(off, 4, SimTime::from_secs(cycle * 10));
+        c.run_recovery_cycle(SimTime::from_secs(cycle * 10 + 5)).unwrap();
+    }
+    assert_eq!(c.recovery().unwrap().log().last().unwrap().rung, Rung::ControllerRestart);
+
+    let ledger = c.supervisor().unwrap().ledger();
+    assert_eq!(ledger.controller_restarts_executed, 1);
+    for (pid, _) in c.supervisor().unwrap().supervised() {
+        let lineage = c.registry.name(pid).unwrap();
+        let restarts =
+            ledger.restarts.iter().filter(|r| c.registry.name(r.new) == Some(lineage)).count();
+        assert_eq!(restarts, 1, "lineage {lineage} restarted exactly once");
+    }
+    let alive_hung: Vec<Pid> =
+        c.registry.alive().filter(|&p| c.registry.name(p) == Some("hung")).collect();
+    assert_eq!(alive_hung.len(), 1, "one live process per lineage: {alive_hung:?}");
+    let supervised: Vec<Pid> = c.supervisor().unwrap().supervised().map(|(p, _)| p).collect();
+    assert!(c.registry.alive().all(|p| supervised.contains(&p)), "every live process supervised");
+    assert!(c.api.locks().is_empty(), "the hung client's lock was released");
 }

@@ -67,6 +67,29 @@ fn surviving_records(journal: &[u8], cut: usize) -> usize {
     n
 }
 
+/// The journal's write batch: an append stages frames and issues one
+/// `write` each time the staged bytes reach this size.
+const JOURNAL_BATCH: usize = 64 << 10;
+
+/// Byte offsets at which an append call spanning `[start, end)` of
+/// `journal` issued a batch write that did not end the call.
+fn batch_boundaries(journal: &[u8], start: usize, end: usize) -> Vec<usize> {
+    let mut out = Vec::new();
+    let (mut at, mut staged) = (start, 0usize);
+    while at < end {
+        let len = u32::from_le_bytes(journal[at..at + 4].try_into().expect("4 bytes")) as usize;
+        at += 8 + len;
+        staged += 8 + len;
+        if staged >= JOURNAL_BATCH {
+            staged = 0;
+            if at < end {
+                out.push(at);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -75,43 +98,71 @@ proptest! {
     /// clean record boundary and the empty file), reopen the store,
     /// and the recovered image equals a reference replay of exactly
     /// the records that survive whole. A cut strictly inside a record
-    /// must additionally be *reported*, not silently absorbed.
+    /// must additionally be *reported*, not silently absorbed. Half the
+    /// draws sync more than one write batch at once, and most of those
+    /// cut at or next to a batch boundary.
     #[test]
     fn truncated_journals_recover_the_surviving_prefix(
         seed in any::<u64>(),
         mutations in 5usize..60,
         sync_every in 1usize..8,
         cut_frac in 0.0f64..1.0,
+        burst in any::<bool>(),
+        burst_frac in 0.0f64..1.0,
+        cut_mode in 0usize..4,
     ) {
         let scratch = ScratchDir::new("crash-prop");
         let mut rng = SimRng::seed_from(seed);
 
         // Journal a seeded workload; keep every captured record so the
         // reference replay below is independent of the store's own
-        // recovery path.
+        // recovery path. Half the draws reload the whole region enough
+        // times at one step that its sync spans several write batches.
         let mut db = Database::build(schema::standard_schema()).expect("standard schema");
         let mut reference_records = Vec::new();
+        let mut syncs = Vec::new();
         {
             let mut store = Store::open(scratch.path(), StoreConfig::default()).expect("open");
             store.attach(&mut db);
             let mut live = Vec::new();
+            let burst_at = burst.then_some(1 + (burst_frac * mutations as f64) as usize);
+            let mut sync = |db: &mut Database, store: &mut Store| {
+                let records = db.take_captured();
+                reference_records.extend_from_slice(&records);
+                let start = store.journal_bytes() as usize;
+                store.append_records(records).expect("append");
+                syncs.push((start, store.journal_bytes() as usize));
+            };
             for i in 1..=mutations {
+                if burst_at == Some(i) {
+                    for _ in 0..=JOURNAL_BATCH / db.region_len() {
+                        db.reload_all();
+                    }
+                    // The reload freed every dynamic record.
+                    live.clear();
+                }
                 step(&mut db, &mut rng, &mut live);
                 if i % sync_every == 0 {
-                    let records = db.take_captured();
-                    store.append_records(&records).expect("append");
-                    reference_records.extend(records);
+                    sync(&mut db, &mut store);
                 }
             }
-            let records = db.take_captured();
-            store.append_records(&records).expect("append");
-            reference_records.extend(records);
+            sync(&mut db, &mut store);
         }
 
-        // Tear the journal at an arbitrary byte offset.
+        // Tear the journal at (cut_mode 0..=2: one byte before, at, or
+        // one byte after) a batch-write boundary inside a sync when
+        // there is one, else at an arbitrary byte offset.
         let journal_path = scratch.path().join(JOURNAL_FILE);
         let journal = std::fs::read(&journal_path).expect("read journal");
-        let cut = (journal.len() as f64 * cut_frac) as usize;
+        let batch_cuts: Vec<usize> =
+            syncs.iter().flat_map(|&(start, end)| batch_boundaries(&journal, start, end)).collect();
+        if burst {
+            prop_assert!(!batch_cuts.is_empty(), "the burst sync spans several write batches");
+        }
+        let cut = match batch_cuts.get((cut_frac * batch_cuts.len() as f64) as usize) {
+            Some(&at) if cut_mode < 3 => at + cut_mode - 1,
+            _ => (journal.len() as f64 * cut_frac) as usize,
+        };
         std::fs::write(&journal_path, &journal[..cut]).expect("truncate journal");
         let survivors = surviving_records(&journal, cut);
         prop_assert!(survivors <= reference_records.len());
@@ -188,16 +239,16 @@ proptest! {
                 step(&mut db, &mut rng, &mut live);
             }
             let records = db.take_captured();
-            store.append_records(&records).expect("append");
-            reference_records.extend(records);
+            reference_records.extend_from_slice(&records);
+            store.append_records(records).expect("append");
             pre_ckpt = reference_records.len();
             ckpt_gen = store.checkpoint(&mut db).expect("checkpoint");
             for _ in 0..after {
                 step(&mut db, &mut rng, &mut live);
             }
             let records = db.take_captured();
-            store.append_records(&records).expect("append");
-            reference_records.extend(records);
+            reference_records.extend_from_slice(&records);
+            store.append_records(records).expect("append");
         }
 
         let journal_path = scratch.path().join(JOURNAL_FILE);
