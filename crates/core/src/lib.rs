@@ -756,6 +756,53 @@ mod tests {
     }
 
     #[test]
+    fn tampering_after_the_golden_fill_is_caught_by_the_storage_audit() {
+        let scratch = wtnc_store::ScratchDir::new("core-tamper-after-fill");
+        let mut c =
+            Controller::standard().with_store(scratch.path(), StoreConfig::default()).unwrap();
+        let gen = c.checkpoint().unwrap().unwrap();
+        // A clean storage audit fills the durable golden from disk.
+        assert!(c.run_storage_audit(SimTime::from_secs(1)).unwrap().unwrap().is_empty());
+        let view = |c: &mut Controller| {
+            let d = c.durable.as_mut().unwrap().durable_golden_detail().unwrap().unwrap();
+            (d.base_gen, d.golden, d.attested)
+        };
+        let filled = view(&mut c);
+        assert_eq!(filled.0, gen);
+
+        // Flip the first golden byte of the newest checkpoint on disk:
+        // its content follows the 52-byte header, region first.
+        let path = c.store().unwrap().chain().last().unwrap().path.clone();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[52 + c.db.region_len()] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+
+        // The storage audit re-reads disk on every run...
+        let store_findings = c.store().unwrap().storage_audit(&c.db).unwrap();
+        assert!(
+            store_findings.iter().any(|f| f.kind == StoreFindingKind::BlockMacMismatch),
+            "{store_findings:?}"
+        );
+        let findings = c.run_storage_audit(SimTime::from_secs(5)).unwrap().unwrap();
+        assert!(!findings.is_empty());
+        assert!(findings.iter().all(|f| f.element == AuditElementKind::Storage
+            && matches!(f.action, RecoveryAction::Flagged)));
+        // ...while the durable golden keeps serving the image verified
+        // at fill time,
+        assert_eq!(view(&mut c), filled);
+        // and refolds from disk after the next checkpoint.
+        c.db.alloc_record_raw(schema::CONNECTION_TABLE).unwrap();
+        let next = c.checkpoint().unwrap().unwrap();
+        assert!(next > gen);
+        let refolded = view(&mut c);
+        assert_eq!(refolded.0, next);
+        assert_eq!(refolded.1, c.db.golden());
+        let mut cold = Store::open(scratch.path(), StoreConfig::default()).unwrap();
+        let d = cold.durable_golden_detail().unwrap().unwrap();
+        assert_eq!((d.base_gen, d.golden, d.attested), refolded);
+    }
+
+    #[test]
     fn controller_restart_recovers_from_the_durable_golden() {
         let scratch = wtnc_store::ScratchDir::new("core-restart-disk");
         let mut c = Controller::standard()

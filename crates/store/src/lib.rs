@@ -23,9 +23,14 @@
 //!   journal replay reproduces the exact pre-crash image, falling back
 //!   across torn or tampered checkpoints;
 //! - the disk side of the **storage audit**
-//!   ([`Store::storage_audit`]) — cross-checking the durable golden
-//!   image against the in-memory one, block by block, with per-block
-//!   Merkle authentication paths ([`Store::durable_golden_detail`]).
+//!   ([`Store::storage_audit`]) — re-reading the newest checkpoint
+//!   from disk on every run and cross-checking the durable golden
+//!   image against the in-memory one, block by block;
+//! - the **durable golden** behind repairs
+//!   ([`Store::durable_golden_detail`]) — folded and verified from
+//!   disk (per-block Merkle authentication paths) once per checkpoint
+//!   or compaction, then carried forward incrementally by the golden
+//!   commits journaled since.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +56,8 @@ pub use merkle::{
     leaf_mac, total_nodes, verify_proof, MerkleError, MerkleTree, NodeUpdate, SplitContent,
 };
 pub use store::{
-    ChainEntry, CheckpointKind, DurableGolden, ImagePair, RecoveryInfo, Store, StoreConfig,
-    StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
+    ChainEntry, CheckpointKind, DurableGolden, RecoveryInfo, Store, StoreConfig, StoreError,
+    StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
 };
 
 use std::path::{Path, PathBuf};

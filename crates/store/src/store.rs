@@ -176,9 +176,6 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// A durable `(region, golden)` byte-image pair.
-pub type ImagePair = (Vec<u8>, Vec<u8>);
-
 /// What warm recovery did.
 #[derive(Debug, Clone)]
 pub struct RecoveryInfo {
@@ -374,6 +371,39 @@ struct FoldedImage {
     tree: MerkleTree,
 }
 
+/// The newest image's golden half as session state: folded and
+/// verified from disk once per checkpoint or compaction, then carried
+/// forward by the journaled golden commits appended since.
+#[derive(Debug)]
+struct GoldenCache {
+    /// Generation of the folded checkpoint image.
+    gen: u64,
+    /// The golden bytes with `journal_cache[..applied]` overlaid.
+    golden: Vec<u8>,
+    /// Per block: verified against the sealed root via its Merkle
+    /// path at fill time and not overwritten by a golden commit since.
+    attested: Vec<bool>,
+    /// How many `journal_cache` entries have been folded in.
+    applied: usize,
+}
+
+/// Copies every journaled golden commit in `records` newer than `gen`
+/// onto `golden`, reporting each overwritten byte range to `touched`.
+fn overlay_golden_commits(
+    records: &[CapturedMutation],
+    gen: u64,
+    golden: &mut [u8],
+    mut touched: impl FnMut(std::ops::Range<usize>),
+) {
+    for m in records {
+        if m.golden && m.gen > gen && m.offset < golden.len() {
+            let end = (m.offset + m.bytes.len()).min(golden.len());
+            golden[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
+            touched(m.offset..end);
+        }
+    }
+}
+
 /// A durable store rooted at one directory.
 #[derive(Debug)]
 pub struct Store {
@@ -397,6 +427,10 @@ pub struct Store {
     reclaimed_bytes: u64,
     full_checkpoints: u64,
     delta_checkpoints: u64,
+    /// The durable golden, filled lazily from disk; `None` until the
+    /// first [`Store::durable_golden_detail`] after open, checkpoint
+    /// or compaction.
+    golden_cache: Option<GoldenCache>,
 }
 
 impl Store {
@@ -438,6 +472,7 @@ impl Store {
             reclaimed_bytes: 0,
             full_checkpoints: 0,
             delta_checkpoints: 0,
+            golden_cache: None,
         })
     }
 
@@ -557,6 +592,9 @@ impl Store {
     ///
     /// Returns [`StoreError::Io`] on write failure.
     pub fn checkpoint(&mut self, db: &mut Database) -> Result<u64, StoreError> {
+        // Invalidated up front: even a checkpoint that fails midway may
+        // already have popped same-generation chain entries.
+        self.golden_cache = None;
         self.sync(db)?;
         let gen = db.mutation_generation();
         // Re-checkpointing at an unchanged generation replaces the
@@ -677,6 +715,7 @@ impl Store {
         let retained: Vec<CapturedMutation> =
             self.journal_cache.iter().filter(|m| m.gen > horizon).cloned().collect();
         let old_bytes = self.journal_bytes;
+        self.golden_cache = None;
         let new_bytes = rotate_journal(&self.dir, horizon, &retained)?;
         self.journal =
             OpenOptions::new().create(true).append(true).open(self.dir.join(JOURNAL_FILE))?;
@@ -931,12 +970,14 @@ impl Store {
     /// checkpoint image's golden plus every journaled golden commit
     /// with a newer generation. Returns `None` when no checkpoint is
     /// usable (the journal alone cannot seed the initial golden
-    /// image).
+    /// image), or when the usable image lies behind the compaction
+    /// horizon (the golden commits that would carry it forward were
+    /// reclaimed).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on read failure.
-    pub fn durable_golden(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
+    pub fn durable_golden(&mut self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
         Ok(self.durable_golden_detail()?.map(|d| (d.base_gen, d.golden)))
     }
 
@@ -946,55 +987,78 @@ impl Store {
     /// content (`true`) or were overlaid by journaled golden commits,
     /// which are CRC-framed but outside the tree (`false`).
     ///
+    /// The image is folded and verified from disk on the first call
+    /// after open, [`Store::checkpoint`] or [`Store::compact`], then
+    /// carried forward by overlaying only the golden commits journaled
+    /// since the previous call. Tampering with the checkpoint files
+    /// after that fill is caught by [`Store::storage_audit`], which
+    /// re-reads disk every time.
+    ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on read failure.
-    pub fn durable_golden_detail(&self) -> Result<Option<DurableGolden>, StoreError> {
+    pub fn durable_golden_detail(&mut self) -> Result<Option<DurableGolden>, StoreError> {
+        if self.golden_cache.is_none() {
+            self.golden_cache = self.fill_golden_cache()?;
+        }
+        let Some(cache) = self.golden_cache.as_mut() else {
+            return Ok(None);
+        };
+        let block = self.config.block_size.max(1);
+        let attested = &mut cache.attested;
+        overlay_golden_commits(
+            &self.journal_cache[cache.applied..],
+            cache.gen,
+            &mut cache.golden,
+            |r| attested[r.start / block..r.end.div_ceil(block)].fill(false),
+        );
+        cache.applied = self.journal_cache.len();
+        Ok(Some(DurableGolden {
+            base_gen: cache.gen,
+            golden: cache.golden.clone(),
+            attested: cache.attested.clone(),
+            block_size: block,
+        }))
+    }
+
+    /// Folds the newest usable image from disk and authenticates each
+    /// of its golden blocks against the sealed root via its Merkle
+    /// path. `None` when no image is usable or when the image falls
+    /// behind the compaction horizon.
+    fn fill_golden_cache(&self) -> Result<Option<GoldenCache>, StoreError> {
         let Some(img) = self.newest_image()? else {
             return Ok(None);
         };
+        if self.compacted_through > img.gen {
+            return Ok(None);
+        }
         let region_len = img.region.len();
         let block = self.config.block_size.max(1);
         let n_blocks = img.golden.len().div_ceil(block);
-        let mut golden = img.golden.clone();
-        let mut overlaid = vec![false; n_blocks];
-        if self.compacted_through <= img.gen {
-            for m in &self.journal_cache {
-                if m.golden && m.gen > img.gen && m.offset < golden.len() {
-                    let end = (m.offset + m.bytes.len()).min(golden.len());
-                    golden[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                    overlaid[m.offset / block..end.div_ceil(block)].fill(true);
-                }
-            }
-        }
-        // Blocks untouched by the journal overlay are authenticated
-        // against the sealed root via their Merkle paths.
         let content = SplitContent::new(&img.region, &img.golden);
         let leaf_count = img.tree.leaf_count();
         let mut scratch = Vec::new();
-        let mut attested = vec![false; n_blocks];
-        for (b, slot) in attested.iter_mut().enumerate() {
-            if overlaid[b] {
-                continue;
-            }
-            let start = region_len + b * block;
-            let end = (start + block).min(region_len + img.golden.len());
-            let first_leaf = start / block;
-            let last_leaf = (end - 1) / block;
-            *slot = (first_leaf..=last_leaf).all(|leaf| {
-                let proof = img.tree.proof(leaf).unwrap_or_default();
-                verify_proof(
-                    &self.config.key,
-                    img.base_gen,
-                    leaf_count,
-                    leaf,
-                    content.block(leaf, block, &mut scratch),
-                    &proof,
-                    img.tree.root(),
-                )
-            });
-        }
-        Ok(Some(DurableGolden { base_gen: img.gen, golden, attested, block_size: block }))
+        let attested = (0..n_blocks)
+            .map(|b| {
+                let start = region_len + b * block;
+                let end = (start + block).min(region_len + img.golden.len());
+                let first_leaf = start / block;
+                let last_leaf = (end - 1) / block;
+                (first_leaf..=last_leaf).all(|leaf| {
+                    let proof = img.tree.proof(leaf).unwrap_or_default();
+                    verify_proof(
+                        &self.config.key,
+                        img.base_gen,
+                        leaf_count,
+                        leaf,
+                        content.block(leaf, block, &mut scratch),
+                        &proof,
+                        img.tree.root(),
+                    )
+                })
+            })
+            .collect();
+        Ok(Some(GoldenCache { gen: img.gen, golden: img.golden, attested, applied: 0 }))
     }
 
     /// The disk side of the storage audit: re-reads and re-verifies
@@ -1019,14 +1083,9 @@ impl Store {
         let Some(img) = self.fold_candidate(last, &mut findings)? else {
             return Ok(findings);
         };
-        let mut durable = img.golden.clone();
+        let mut durable = img.golden;
         if self.compacted_through <= img.gen {
-            for m in &self.journal_cache {
-                if m.golden && m.gen > img.gen && m.offset < durable.len() {
-                    let end = (m.offset + m.bytes.len()).min(durable.len());
-                    durable[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                }
-            }
+            overlay_golden_commits(&self.journal_cache, img.gen, &mut durable, |_| {});
         }
         let mem = db.golden();
         if durable.len() != mem.len() {
@@ -1054,32 +1113,6 @@ impl Store {
             }
         }
         Ok(findings)
-    }
-
-    /// The durable region+golden bytes the newest usable checkpoint
-    /// would recover (after journal replay), for harness comparison.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on read failure.
-    pub fn recovered_image_preview(&self) -> Result<Option<ImagePair>, StoreError> {
-        let Some(img) = self.newest_image()? else {
-            return Ok(None);
-        };
-        let (mut region, mut golden) = (img.region, img.golden);
-        if self.compacted_through <= img.gen {
-            for m in &self.journal_cache {
-                if m.gen <= img.gen {
-                    continue;
-                }
-                let target = if m.golden { &mut golden } else { &mut region };
-                if m.offset < target.len() {
-                    let end = (m.offset + m.bytes.len()).min(target.len());
-                    target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                }
-            }
-        }
-        Ok(Some((region, golden)))
     }
 }
 

@@ -1,7 +1,9 @@
 //! End-to-end tests for the incremental checkpoint engine: delta
 //! checkpoints (dirty blocks + Merkle path updates against a full base
-//! image), fold-based recovery, and journal compaction.
+//! image), fold-based recovery, journal compaction, and the durable
+//! golden image carried forward between checkpoints.
 
+use proptest::prelude::*;
 use wtnc_db::{Database, FieldDef, FieldWidth, TableDef, TableNature};
 use wtnc_store::{
     parse_checkpoint_file_name, parse_delta_file_name, CheckpointKind, ScratchDir, Store,
@@ -397,4 +399,127 @@ fn crashed_compaction_tmp_file_is_swept_at_open() {
     assert!(!scratch.path().join("journal.wal.tmp").exists());
     assert!(store.open_findings().is_empty());
     assert!(scratch.path().join(JOURNAL_FILE).exists());
+}
+
+#[test]
+fn durable_golden_behind_the_compaction_horizon_is_refused() {
+    let scratch = ScratchDir::new("golden-gap");
+    let mut db = db();
+    let mut store = Store::open(scratch.path(), StoreConfig::default()).expect("open");
+    store.attach(&mut db);
+    mutate(&mut db, 4, 1);
+    store.checkpoint(&mut db).expect("checkpoint 1");
+    let offset = db.golden().len() - 1;
+    let before = db.golden()[offset];
+    mutate(&mut db, 1, 2);
+    db.restore_golden_range(offset, &[before ^ 0x5a]).expect("golden commit");
+    store.checkpoint(&mut db).expect("checkpoint 2");
+    assert!(store.compact().expect("compact") > 0);
+
+    // Damage the newest image after open. The only usable image is now
+    // checkpoint 1, behind the horizon that reclaimed the golden
+    // commit: serving it would silently drop that commit.
+    let (fulls, _) = files(scratch.path());
+    let newest = fulls.last().unwrap();
+    let mut bytes = std::fs::read(newest).unwrap();
+    // Checkpoint content follows the 52-byte header, region first.
+    bytes[52 + db.region().len() + offset] ^= 0x01;
+    std::fs::write(newest, &bytes).unwrap();
+    assert!(!Store::verify(scratch.path(), &StoreConfig::default()).unwrap().is_empty());
+
+    assert!(store.durable_golden_detail().expect("read").is_none(), "honest stop, no splice");
+    assert!(store.durable_golden().expect("read").is_none());
+}
+
+#[test]
+fn durable_golden_carries_journaled_golden_commits_forward() {
+    let scratch = ScratchDir::new("golden-overlay");
+    let mut db = db();
+    let mut store = Store::open(scratch.path(), StoreConfig::default()).expect("open");
+    store.attach(&mut db);
+    mutate(&mut db, 4, 1);
+    let gen = store.checkpoint(&mut db).expect("checkpoint");
+    let block = StoreConfig::default().block_size;
+    let n_blocks = db.golden().len().div_ceil(block);
+    assert!(n_blocks >= 2, "the test needs two golden blocks");
+
+    let first = store.durable_golden_detail().expect("read").expect("image");
+    assert_eq!(first.base_gen, gen);
+    assert_eq!(first.golden, db.golden());
+    assert!(first.attested.iter().all(|&a| a), "checkpoint-pure blocks are attested");
+
+    // Golden commits journaled after the fill, one per call, are
+    // overlaid and lose their attestation block by block.
+    let last = db.golden().len() - 1;
+    for (k, offset) in [0, last].into_iter().enumerate() {
+        mutate(&mut db, 1, 2 + k as u64);
+        let flipped = db.golden()[offset] ^ 0x5a;
+        db.restore_golden_range(offset, &[flipped]).expect("golden commit");
+        store.sync(&mut db).expect("sync");
+        let d = store.durable_golden_detail().expect("read").expect("image");
+        assert_eq!(d.base_gen, gen);
+        assert_eq!(d.golden, db.golden(), "commit {k} carried forward");
+        assert!(!d.is_attested(offset), "commit {k} is journal-overlaid");
+        assert_eq!(d.attested.iter().filter(|&&a| !a).count(), k + 1);
+    }
+}
+
+/// `(base_gen, golden, attested)` of the store's durable golden.
+type GoldenView = Option<(u64, Vec<u8>, Vec<bool>)>;
+
+fn golden_view(store: &mut Store) -> GoldenView {
+    store
+        .durable_golden_detail()
+        .expect("durable golden")
+        .map(|d| (d.base_gen, d.golden, d.attested))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The durable golden a live store carries forward incrementally
+    /// equals the one a freshly opened store folds cold from the same
+    /// directory, after every step of a seeded sequence of region
+    /// writes, golden commits, syncs, checkpoints (including same-gen
+    /// re-checkpoints) and compactions.
+    #[test]
+    fn cached_durable_golden_equals_a_cold_fold(
+        delta in any::<bool>(),
+        ops in prop::collection::vec((0usize..6, any::<u64>()), 8..30),
+    ) {
+        let scratch = ScratchDir::new("golden-parity");
+        let config = StoreConfig { full_every: if delta { 3 } else { 1 }, ..StoreConfig::default() };
+        let mut db = db();
+        let mut store = Store::open(scratch.path(), config).expect("open");
+        store.attach(&mut db);
+        for (op, arg) in ops {
+            match op {
+                // Net two live records per write: 30 steps fit the
+                // 64-slot table.
+                0 | 1 => mutate(&mut db, 3, arg % 1000),
+                2 => {
+                    let len = db.golden().len();
+                    let offset = arg as usize % len;
+                    let n = (1 + (arg >> 32) as usize % 48).min(len - offset);
+                    let bytes: Vec<u8> = (0..n).map(|i| (arg >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                    db.restore_golden_range(offset, &bytes).expect("golden commit");
+                }
+                3 => {
+                    store.sync(&mut db).expect("sync");
+                }
+                4 => {
+                    store.checkpoint(&mut db).expect("checkpoint");
+                    if arg % 3 == 0 {
+                        store.checkpoint(&mut db).expect("same-gen re-checkpoint");
+                    }
+                }
+                _ => {
+                    store.compact().expect("compact");
+                }
+            }
+            let live = golden_view(&mut store);
+            let cold = golden_view(&mut Store::open(scratch.path(), config).expect("reopen"));
+            prop_assert_eq!(live, cold);
+        }
+    }
 }
