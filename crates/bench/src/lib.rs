@@ -35,6 +35,18 @@ pub fn host_info_json() -> String {
     )
 }
 
+/// The median of `samples` (the upper middle value for even counts),
+/// sorting them in place. Wall-clock gates read medians over repeated
+/// runs, not best-of-N minima.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or holds a NaN.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    samples[samples.len() / 2]
+}
+
 /// Serializes an [`OutcomeCounts`] tally as a JSON object keyed by
 /// outcome name, plus the derived totals the tables print.
 pub fn outcome_counts_json(counts: &OutcomeCounts) -> String {

@@ -36,10 +36,10 @@ USAGE:
                                            execute on the machine
     wtnc trace <file.s> [--steps N]        single-step with a per-
                                            instruction listing
-    wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded|superblock]
+    wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded]
                                            instrument and run; optionally
                                            corrupt the Nth CFI and watch
-                                           PECOS; per-run superblock report
+                                           PECOS
     wtnc audit-demo                        inject -> detect -> repair
     wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]
                                            steady-state audit cycles with
@@ -213,10 +213,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
 pub fn pecos(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse(args, &["engine", "corrupt-cfi"])?;
     let [path] = positional.as_slice() else {
-        return Err(
-            "usage: wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded|superblock]"
-                .into(),
-        );
+        return Err("usage: wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded]".into());
     };
     let assembly = load_assembly(path)?;
     let inst = instrument(&assembly).map_err(|e| format!("{path}: {e}"))?;
@@ -230,10 +227,9 @@ pub fn pecos(args: &[String]) -> Result<(), String> {
 
     let engine = match flags.get("engine") {
         None => None,
-        Some(s) => Some(
-            Engine::parse(s)
-                .ok_or_else(|| format!("unknown engine '{s}' (slow, decoded, superblock)"))?,
-        ),
+        Some(s) => {
+            Some(Engine::parse(s).ok_or_else(|| format!("unknown engine '{s}' (slow, decoded)"))?)
+        }
     };
     let corrupt = match flags.get("corrupt-cfi") {
         None => None,
@@ -280,45 +276,7 @@ pub fn pecos(args: &[String]) -> Result<(), String> {
         StepOutcome::Executed { .. } => println!("no verdict after 1000000 steps (hang?)"),
     }
     println!("thread state: {:?}", machine.thread_state(t));
-    print_superblock_report(&machine);
     Ok(())
-}
-
-/// Per-run superblock-engine report: resident block count, chain
-/// length histogram, compile/invalidation counters.
-fn print_superblock_report(machine: &Machine) {
-    if machine.engine() != Engine::Superblock {
-        return;
-    }
-    let stats = machine.superblock_stats();
-    println!(
-        "superblocks: {} resident, {} compiled, {} invalidated, {} entered \
-         ({} instructions retired in blocks)",
-        stats.blocks.len(),
-        stats.compiled,
-        stats.invalidated,
-        stats.entered,
-        stats.block_steps
-    );
-    if stats.blocks.is_empty() {
-        return;
-    }
-    // Chain-length histogram over resident blocks, power-of-two buckets.
-    const BUCKETS: [(u64, u64, &str); 6] = [
-        (1, 2, "1-2"),
-        (3, 4, "3-4"),
-        (5, 8, "5-8"),
-        (9, 16, "9-16"),
-        (17, 32, "17-32"),
-        (33, u64::MAX, "33+"),
-    ];
-    println!("chain length histogram (instructions retired per block execution):");
-    for (lo, hi, label) in BUCKETS {
-        let n = stats.blocks.iter().filter(|b| b.steps >= lo && b.steps <= hi).count();
-        if n > 0 {
-            println!("  {label:>6}  {} {n}", "#".repeat(n.min(60)));
-        }
-    }
 }
 
 /// `wtnc audit-demo`
@@ -1177,11 +1135,13 @@ mod tests {
         )
         .unwrap();
         let p = path.to_str().unwrap().to_string();
-        for engine in ["slow", "decoded", "superblock"] {
+        for engine in ["slow", "decoded"] {
             pecos(&strings(&[&p, "--engine", engine])).unwrap();
             pecos(&strings(&[&p, "--engine", engine, "--corrupt-cfi", "0"])).unwrap();
         }
         assert!(pecos(&strings(&[&p, "--engine", "warp"])).is_err());
+        let err = pecos(&strings(&[&p, "--engine", "superblock"])).unwrap_err();
+        assert!(err.contains("unknown engine 'superblock'"), "{err}");
     }
 }
 

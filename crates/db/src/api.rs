@@ -192,9 +192,8 @@ impl LockTable {
 /// lane. Producers rejected by global congestion are told to retry
 /// after `retry_after`.
 ///
-/// Both capacities must be non-zero: the underlying queue constructors
-/// (like [`wtnc_sim::MessageQueue::with_capacity`]) **panic** on a
-/// zero capacity rather than silently misbehave as an always-full or
+/// Both capacities must be non-zero: [`FairQueue::new`] **panics** on
+/// a zero capacity rather than silently misbehave as an always-full or
 /// always-dropping queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IpcConfig {

@@ -58,7 +58,7 @@ fn warmed_assertion_block_observes_interior_injection() {
         let regs: Vec<u64> = (0..16).map(|r| m.reg(t, r).unwrap()).collect();
         (out, m.thread_state(t), m.pc(t), regs, m.total_steps(), m.fused_supersteps())
     };
-    let fast = drive(Engine::Superblock);
+    let fast = drive(Engine::Decoded);
     let slow = drive(Engine::Slow);
 
     // The corruption was observed at the corrupted word...
@@ -79,8 +79,8 @@ fn warmed_assertion_block_observes_interior_injection() {
     );
 }
 
-/// Campaign classifications are identical on all three engines for a
-/// grid of seeds across both targeting modes — the fast engines change
+/// Campaign classifications are identical on both engines for a grid
+/// of seeds across both targeting modes — the decoded engine changes
 /// wall-clock only, never outcomes. Directed-CFI runs corrupt exactly
 /// the input word of a warmed fused plan; random-text runs also land
 /// inside assertion blocks and target tables.
@@ -103,22 +103,17 @@ fn run_one_outcomes_identical_across_engines() {
             };
             for seed in 0..20u64 {
                 let slow = run_one(&config(Engine::Slow), seed);
-                for engine in [Engine::Decoded, Engine::Superblock] {
-                    let fast = run_one(&config(engine), seed);
-                    assert_eq!(
-                        fast, slow,
-                        "outcome diverged for {target:?}/{model:?}/{engine:?} seed {seed}"
-                    );
-                }
+                let fast = run_one(&config(Engine::Decoded), seed);
+                assert_eq!(fast, slow, "outcome diverged for {target:?}/{model:?} seed {seed}");
             }
         }
     }
 }
 
-/// Source of the chained-superblock proptest program: two nested loops,
-/// a call, and a helper — enough CFIs that the superblock engine
-/// compiles blocks which chain across several fused assertion
-/// supersteps per outer iteration.
+/// Source of the mid-run invalidation proptest program: two nested
+/// loops, a call, and a helper — enough CFIs that the decoded engine
+/// caches several fused assertion plans and `PCKT` tables per outer
+/// iteration.
 const CHAIN_SRC: &str = r#"
     start:
         movi r9, 6
@@ -140,12 +135,13 @@ const CHAIN_SRC: &str = r#"
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A `store_text` landing mid-run in the interior of a warmed,
-    /// chained superblock — including words on a fused-superstep
-    /// boundary — invalidates every overlapping block, and the machine
-    /// then proceeds in lockstep with the slow engine: identical
-    /// retired-step counts, PCs, registers, thread states and final
-    /// outcome, compared after every `run` chunk.
+    /// A `store_text` landing mid-run in warmed decoded state — a
+    /// cached slot, the interior of a fused assertion block, or a word
+    /// on a fused-superstep boundary — invalidates every cached slot,
+    /// plan and table derived from it, and the machine then proceeds in
+    /// lockstep with the slow engine: identical retired-step counts,
+    /// PCs, registers, thread states and final outcome, compared after
+    /// every `run` chunk.
     #[test]
     fn warmed_chain_observes_midrun_store_text(
         addr_sel in 0usize..1024,
@@ -166,7 +162,6 @@ proptest! {
         ref_m.run(&mut NoSyscalls, 1_000_000);
         let total = ref_m.total_steps();
         prop_assert!(ref_m.fused_supersteps() > 10, "chain program must fuse repeatedly");
-        prop_assert!(ref_m.superblock_stats().entered > 0, "chain program must enter blocks");
 
         let ranges = &inst.meta.assertion_ranges;
         let addr = match mode {
@@ -194,7 +189,7 @@ proptest! {
             m.spawn_thread(inst.program.entry);
             m
         };
-        let mut fast = load(Engine::Superblock);
+        let mut fast = load(Engine::Decoded);
         let mut slow = load(Engine::Slow);
 
         // Warm phase: both engines retire exactly `warm_budget` steps.
@@ -202,10 +197,7 @@ proptest! {
         slow.run(&mut NoSyscalls, warm_budget);
         prop_assert_eq!(fast.total_steps(), warm_budget);
         prop_assert_eq!(slow.total_steps(), warm_budget);
-        prop_assert!(
-            fast.superblock_stats().entered > 0,
-            "warm phase must execute compiled superblocks"
-        );
+        prop_assert!(fast.fused_supersteps() > 0, "warm phase must execute fused supersteps");
 
         // Mid-run injection into the warmed text.
         fast.store_text(addr, corrupted);

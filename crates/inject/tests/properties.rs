@@ -30,7 +30,6 @@ proptest! {
         engine in prop_oneof![
             Just(wtnc_isa::Engine::Slow),
             Just(wtnc_isa::Engine::Decoded),
-            Just(wtnc_isa::Engine::Superblock),
         ],
         seed in any::<u64>(),
     ) {

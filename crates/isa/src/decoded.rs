@@ -58,7 +58,7 @@ pub(crate) enum Slot {
 pub(crate) struct TableEntry {
     /// Words after the count word that the entry depends on (0 for
     /// build-time faults, which depend only on the count word).
-    pub(crate) span: u32,
+    span: u32,
     /// Sorted member words, or the exception the slow path would raise
     /// before the membership test.
     pub result: Result<Vec<u32>, ExceptionKind>,

@@ -57,15 +57,13 @@ mod decoded;
 mod inst;
 mod machine;
 mod program;
-mod superblock;
 
 pub use inst::{decode, encode, DecodeError, Inst, OPCODE_SHIFT, TARGET_MASK};
 pub use machine::{
     Engine, ExceptionInfo, ExceptionKind, Machine, MachineConfig, NoSyscalls, StepOutcome,
-    SyscallHandler, SyscallRequest, ThreadState,
+    SuperblockStats, SyscallHandler, SyscallRequest, ThreadState,
 };
 pub use program::Program;
-pub use superblock::{ExitKind, SuperblockInfo, SuperblockStats};
 
 /// Identifier of a machine thread (index into the machine's thread
 /// table).

@@ -19,40 +19,35 @@ use serde::{Deserialize, Serialize};
 use crate::decoded::{DecodedCache, FusedPlan, PlanSlot};
 use crate::inst::{decode, Inst};
 use crate::program::Program;
-use crate::superblock::{self, Flow, OpCtx, SuperblockCache, SuperblockStats};
 use crate::ThreadId;
 
-/// Which execution engine [`Machine::run`] dispatches from. All three
-/// are observationally identical — same retired-step counts, exception
+/// Which execution engine [`Machine::run`] dispatches from. Both are
+/// observationally identical — same retired-step counts, exception
 /// PCs/kinds, register files and `peek_next` sequences — and differ
 /// only in speed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum Engine {
     /// The original word-at-a-time interpreter: strict decode on every
-    /// fetch, round-robin scan on every step.
+    /// fetch, round-robin scan on every step. The semantics reference
+    /// the parity tests and the overhead bench compare against.
     Slow,
-    /// PR 4's predecoded cache: decode-once slots, materialized `PCKT`
-    /// tables, fused assertion supersteps, batched dispatch.
-    Decoded,
-    /// The superblock compiler on top of the decoded cache: hot
-    /// straight-line regions run as direct-threaded plans chaining
-    /// instructions and fused supersteps across basic blocks. The
+    /// The predecoded cache: decode-once slots, materialized `PCKT`
+    /// tables, fused assertion supersteps, batched dispatch. The
     /// default.
     #[default]
-    Superblock,
+    Decoded,
 }
 
 impl Engine {
     /// All engines, for A/B matrices.
-    pub const ALL: [Engine; 3] = [Engine::Slow, Engine::Decoded, Engine::Superblock];
+    pub const ALL: [Engine; 2] = [Engine::Slow, Engine::Decoded];
 
-    /// Parses the CLI spelling (`slow`/`decoded`/`superblock`).
+    /// Parses the CLI spelling (`slow`/`decoded`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "slow" => Some(Engine::Slow),
             "decoded" => Some(Engine::Decoded),
-            "superblock" => Some(Engine::Superblock),
             _ => None,
         }
     }
@@ -62,7 +57,6 @@ impl Engine {
         match self {
             Engine::Slow => "slow",
             Engine::Decoded => "decoded",
-            Engine::Superblock => "superblock",
         }
     }
 }
@@ -76,13 +70,14 @@ pub struct MachineConfig {
     /// Maximum size of a PECOS target table; a stored count above this
     /// is treated as a failed assertion (corrupted table).
     pub max_pckt_table: u32,
-    /// The execution engine ([`Engine::Superblock`] by default).
+    /// The execution engine ([`Engine::Decoded`] by default).
     #[serde(default)]
     pub engine: Engine,
 }
 
 impl MachineConfig {
-    /// The engine this configuration selects.
+    /// The engine this configuration selects (the same as `engine`;
+    /// the end-to-end benchmark's header line reads it).
     pub fn effective_engine(&self) -> Engine {
         self.engine
     }
@@ -92,6 +87,17 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig { data_words: 4_096, max_pckt_table: 1_024, engine: Engine::default() }
     }
+}
+
+/// Superblock-tier activity counters. The superblock tier no longer
+/// exists, so both always read zero; the type remains only until the
+/// end-to-end benchmark drops its `isa.superblock_*` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SuperblockStats {
+    /// Block executions (always 0).
+    pub entered: u64,
+    /// Blocks discarded by text-write invalidation (always 0).
+    pub invalidated: u64,
 }
 
 /// Why a thread faulted.
@@ -209,7 +215,6 @@ pub struct Machine {
     total_steps: u64,
     supersteps: u64,
     cache: DecodedCache,
-    sblocks: SuperblockCache,
 }
 
 impl Machine {
@@ -217,7 +222,6 @@ impl Machine {
     pub fn load(program: &Program, config: MachineConfig) -> Self {
         Machine {
             cache: DecodedCache::new(program.text.len()),
-            sblocks: SuperblockCache::new(program.text.len()),
             text: program.text.clone(),
             threads: Vec::new(),
             engine: config.effective_engine(),
@@ -255,17 +259,13 @@ impl Machine {
     /// writes.
     pub fn text_mut(&mut self) -> &mut [u32] {
         self.cache.invalidate_all();
-        self.sblocks.invalidate_all();
         &mut self.text
     }
 
     /// Writes one text word (the injector's corruption primitive) and
     /// invalidates exactly the cached state derived from it: the
-    /// word's decoded slot, any fused assertion plan reading it, any
-    /// materialized `PCKT` table containing it, and every compiled
-    /// superblock whose input words cover it (the superblock cache
-    /// additionally bumps its generation counter, so a stale plan can
-    /// never fire even if it were still indexed).
+    /// word's decoded slot, any fused assertion plan reading it, and
+    /// any materialized `PCKT` table containing it.
     ///
     /// # Panics
     ///
@@ -273,7 +273,6 @@ impl Machine {
     pub fn store_text(&mut self, addr: usize, word: u32) {
         self.text[addr] = word;
         self.cache.invalidate_word(addr);
-        self.sblocks.invalidate_word(addr);
     }
 
     /// Registers the PECOS assertion blocks `[start, end)` (with the
@@ -286,24 +285,15 @@ impl Machine {
         self.cache.install_regions(ranges);
     }
 
-    /// Primes superblock entry PCs to the compile threshold so the
-    /// named addresses compile on first dispatch instead of after the
-    /// warm-up visits ([`Engine::Superblock`] only; a no-op on other
-    /// engines). PECOS seeds its CFI-block heads here.
-    pub fn seed_superblocks(&mut self, entries: &[u16]) {
-        self.sblocks.seed(entries);
-    }
-
     /// The engine in effect (resolved from the config at load).
     pub fn engine(&self) -> Engine {
         self.engine
     }
 
-    /// Superblock-engine activity: blocks compiled/invalidated/
-    /// entered, steps retired inside blocks, and the resident plans
-    /// with their chain lengths and exit descriptors.
+    /// Superblock-tier activity: always zero, since the tier is gone.
+    /// Kept only until the end-to-end benchmark stops reading it.
     pub fn superblock_stats(&self) -> SuperblockStats {
-        self.sblocks.stats()
+        SuperblockStats::default()
     }
 
     /// Per-thread data memory (read) — lets parity tests compare final
@@ -448,21 +438,17 @@ impl Machine {
     /// Runs until `max_steps` instructions have retired, a thread
     /// faults, or the machine goes idle. Returns the last outcome.
     ///
-    /// On the fast engines, work reached by the only runnable thread
-    /// is dispatched in descending-granularity order — a compiled
-    /// superblock ([`Engine::Superblock`]), a fused assertion
-    /// superstep, a decoded batch — each declining to the next tier
-    /// whenever its exactness preconditions do not hold, with
-    /// identical retired-step accounting, register effects, and fault
-    /// PCs at every tier.
+    /// On [`Engine::Decoded`], work reached by the only runnable thread
+    /// is dispatched in descending-granularity order — a fused
+    /// assertion superstep, then a decoded batch — each declining to
+    /// the next tier whenever its exactness preconditions do not hold,
+    /// with identical retired-step accounting, register effects, and
+    /// fault PCs at every tier.
     pub fn run(&mut self, sys: &mut dyn SyscallHandler, max_steps: u64) -> StepOutcome {
         let mut last = StepOutcome::Idle;
         let mut remaining = max_steps;
         while remaining > 0 {
-            if let Some((out, retired)) = self.try_superblock(sys, remaining) {
-                remaining -= retired;
-                last = out;
-            } else if let Some((out, retired)) = self.try_superstep(remaining) {
+            if let Some((out, retired)) = self.try_superstep(remaining) {
                 remaining -= retired;
                 last = out;
             } else if let Some((out, retired)) = self.run_batch(sys, remaining) {
@@ -495,10 +481,6 @@ impl Machine {
         if self.engine == Engine::Slow {
             return None;
         }
-        // The superblock engine also breaks batches after any control
-        // transfer, handing the dispatcher the targets it counts
-        // entries at (and the compiled blocks it enters there).
-        let track_transfers = self.engine == Engine::Superblock;
         let mut runnable =
             self.threads.iter().enumerate().filter(|(_, t)| t.state == ThreadState::Runnable);
         let (tid, _) = runnable.next()?;
@@ -532,7 +514,6 @@ impl Machine {
                 || !matches!(last, StepOutcome::Executed { .. })
                 || self.threads[tid].state != ThreadState::Runnable
                 || self.cache.region_starting_at(self.threads[tid].pc).is_some()
-                || (track_transfers && self.threads[tid].pc != pc.wrapping_add(1))
             {
                 return Some((last, retired));
             }
@@ -610,145 +591,6 @@ impl Machine {
             th.pc = end - 1;
             Some((self.fault(tid, end - 1, ExceptionKind::DivideByZero), len))
         }
-    }
-
-    /// Attempts to execute compiled superblocks at the sole runnable
-    /// thread's PC, compiling them on the fly once entries are hot.
-    /// Returns the outcome and retired-step count, or `None` to fall
-    /// through to the superstep/batch/step tiers.
-    ///
-    /// Blocks chain: when a block exits with the thread still runnable
-    /// and the next PC has (or earns) a compiled entry that fits the
-    /// remaining budget, the next block runs in the same dispatch —
-    /// whole loops execute without returning to the `run` cascade.
-    /// Chaining is invisible to callers because ops cannot change
-    /// thread states (syscall handlers never see the machine), so the
-    /// sole-runnable precondition holds across the whole chain and the
-    /// intermediate outcomes it skips are exactly the ones `run`
-    /// overwrites anyway.
-    ///
-    /// The exactness preconditions mirror [`Machine::try_superstep`]:
-    /// only the sole runnable thread enters blocks (round-robin
-    /// interleaving unaffected), the remaining budget must cover each
-    /// block's whole weight (budget cutoffs land on the same
-    /// instruction), and an op that cannot reproduce the slow path's
-    /// exception deopts with nothing of it retired.
-    fn try_superblock(
-        &mut self,
-        sys: &mut dyn SyscallHandler,
-        remaining: u64,
-    ) -> Option<(StepOutcome, u64)> {
-        if self.engine != Engine::Superblock {
-            return None;
-        }
-        let mut runnable =
-            self.threads.iter().enumerate().filter(|(_, t)| t.state == ThreadState::Runnable);
-        let (tid, th) = runnable.next()?;
-        if runnable.next().is_some() {
-            return None;
-        }
-        let mut pc = th.pc;
-        let n = self.threads.len();
-        let data_words = self.config.data_words as i64;
-        let mut total_retired: u64 = 0;
-        let mut fused: u64 = 0;
-        let mut entered: u64 = 0;
-        let mut last = StepOutcome::Idle;
-        'chain: loop {
-            if !self.sblocks.has_entry(pc) {
-                if pc as usize >= self.text.len() || !self.sblocks.note_miss(pc) {
-                    break;
-                }
-                let block = superblock::compile(
-                    &mut self.cache,
-                    &self.text,
-                    pc,
-                    self.config.max_pckt_table,
-                    self.sblocks.generation(),
-                );
-                self.sblocks.insert(block);
-            }
-            let Some(block) = self.sblocks.entry_for_exec(pc) else { break };
-            if remaining - total_retired < block.total_steps {
-                break;
-            }
-            let th = &mut self.threads[tid];
-            let mut ctx = OpCtx {
-                regs: &mut th.regs,
-                data: &mut th.data,
-                text: &self.text,
-                sys: &mut *sys,
-                tid,
-                data_words,
-                aux: &block.aux,
-                pc: 0,
-                supersteps: 0,
-            };
-            let mut retired: u64 = 0;
-            let mut ended = false;
-            for op in block.ops.iter() {
-                match (op.exec)(&mut ctx, op) {
-                    Flow::Next => {
-                        retired += u64::from(op.weight);
-                        last = StepOutcome::Executed { thread: tid, pc: op.out_pc };
-                    }
-                    Flow::Done => {
-                        retired += u64::from(op.weight);
-                        last = StepOutcome::Executed { thread: tid, pc: op.out_pc };
-                        th.pc = ctx.pc;
-                        ended = true;
-                        break;
-                    }
-                    Flow::Halt => {
-                        retired += u64::from(op.weight);
-                        last = StepOutcome::Executed { thread: tid, pc: op.out_pc };
-                        th.pc = op.pc;
-                        th.state = ThreadState::Halted;
-                        ended = true;
-                        break;
-                    }
-                    Flow::Fault(fpc, kind) => {
-                        retired += u64::from(op.weight);
-                        last = StepOutcome::Exception(ExceptionInfo { thread: tid, pc: fpc, kind });
-                        th.pc = fpc;
-                        th.state = ThreadState::Faulted(kind);
-                        ended = true;
-                        break;
-                    }
-                    Flow::Deopt => {
-                        // Nothing of this op retired; the word-at-a-time
-                        // path takes over at its PC.
-                        th.pc = op.pc;
-                        fused += ctx.supersteps;
-                        total_retired += retired;
-                        if retired > 0 {
-                            entered += 1;
-                        }
-                        break 'chain;
-                    }
-                }
-            }
-            if !ended {
-                th.pc = block.fallthrough;
-            }
-            fused += ctx.supersteps;
-            total_retired += retired;
-            entered += 1;
-            if th.state != ThreadState::Runnable || !matches!(last, StepOutcome::Executed { .. }) {
-                break;
-            }
-            pc = th.pc;
-        }
-        if total_retired == 0 {
-            return None; // first op of the first block deopted, or cold entry
-        }
-        self.threads[tid].steps += total_retired;
-        self.next = (tid + 1) % n;
-        self.total_steps += total_retired;
-        self.supersteps += fused;
-        self.sblocks.entered += entered;
-        self.sblocks.block_steps += total_retired;
-        Some((last, total_retired))
     }
 
     /// Membership result for a fused table check, or `None` when the
@@ -1229,7 +1071,7 @@ mod tests {
         halt
     ";
 
-    /// The breakpoint contract under superblock batching: between
+    /// The breakpoint contract under batched dispatch: between
     /// `run` batches of any size, `peek_next` must observe the same
     /// (thread, pc) sequence on every engine — the injector arms its
     /// breakpoints on exactly this view.
@@ -1259,65 +1101,7 @@ mod tests {
             };
             let slow = drive(Engine::Slow);
             assert_eq!(drive(Engine::Decoded), slow, "decoded diverged ({threads} threads)");
-            assert_eq!(drive(Engine::Superblock), slow, "superblock diverged ({threads} threads)");
         }
-    }
-
-    #[test]
-    fn superblock_stats_report_compiled_blocks() {
-        let p = assemble_source(LOOP_SRC).unwrap();
-        let mut m = Machine::load(&p, MachineConfig::default());
-        assert_eq!(m.engine(), Engine::Superblock, "fast_path default resolves to superblock");
-        m.spawn_thread(0);
-        m.run(&mut NoSyscalls, 1_000);
-        let stats = m.superblock_stats();
-        assert!(stats.compiled > 0, "hot loop must compile");
-        assert!(stats.entered > 0 && stats.block_steps > 0);
-        assert!(!stats.blocks.is_empty());
-        assert!(stats.blocks.iter().all(|b| b.ops > 0 && b.steps > 0 && !b.exit.is_empty()));
-    }
-
-    #[test]
-    fn store_text_invalidates_overlapping_superblocks() {
-        let p = assemble_source(LOOP_SRC).unwrap();
-        let mut m = Machine::load(&p, MachineConfig::default());
-        m.spawn_thread(0);
-        // Warm enough for the loop-head entry to get hot, compile and
-        // enter (two batch dispatches reach it twice, the third enters
-        // the compiled block), without finishing the program.
-        m.run(&mut NoSyscalls, 10);
-        let warm = m.superblock_stats();
-        assert!(!warm.blocks.is_empty(), "warm phase must leave resident blocks");
-        let covered = warm.blocks[0].entry as usize; // entry word overlaps its own block
-        m.store_text(covered, p.text[covered]);
-        let after = m.superblock_stats();
-        assert!(after.invalidated > warm.invalidated, "overlapping block must be discarded");
-        assert!(!after.blocks.iter().any(|b| b.entry as usize == covered));
-        // The machine recompiles and still finishes correctly.
-        let out = m.run(&mut NoSyscalls, 1_000);
-        assert_eq!(out, StepOutcome::Idle);
-        assert_eq!(m.reg(0, 1).unwrap(), 4 + 3 + 2 + 1);
-        assert!(m.superblock_stats().compiled > after.compiled);
-    }
-
-    #[test]
-    fn seed_superblocks_compiles_on_first_dispatch() {
-        let p = assemble_source(LOOP_SRC).unwrap();
-        // Unseeded: the entry must get hot first, so nothing compiles
-        // at the very first dispatch.
-        let mut cold = Machine::load(&p, MachineConfig::default());
-        cold.spawn_thread(0);
-        cold.run(&mut NoSyscalls, 1);
-        assert_eq!(cold.superblock_stats().compiled, 0);
-        // Seeded: compiled and entered on the very first dispatch (the
-        // budget exactly covers the 4-step entry block).
-        let mut hot = Machine::load(&p, MachineConfig::default());
-        hot.seed_superblocks(&[0]);
-        hot.spawn_thread(0);
-        hot.run(&mut NoSyscalls, 4);
-        let stats = hot.superblock_stats();
-        assert_eq!(stats.compiled, 1);
-        assert!(stats.entered >= 1);
     }
 
     #[test]
@@ -1328,6 +1112,7 @@ mod tests {
             assert_eq!(config.effective_engine(), engine);
         }
         assert_eq!(Engine::parse("warp"), None);
-        assert_eq!(MachineConfig::default().effective_engine(), Engine::Superblock);
+        assert_eq!(Engine::parse("superblock"), None);
+        assert_eq!(MachineConfig::default().effective_engine(), Engine::Decoded);
     }
 }

@@ -123,7 +123,7 @@ proptest! {
             }
             m
         };
-        let mut fast = mk(Engine::Superblock);
+        let mut fast = mk(Engine::Decoded);
         let mut slow = mk(Engine::Slow);
         for step in 0..1_500u64 {
             for &(at, ref idx, word) in &corruptions {

@@ -90,15 +90,12 @@ impl PecosMeta {
     }
 
     /// Installs the machine-side PECOS fast path: registers every
-    /// assertion block as a fused-superstep candidate and seeds the
-    /// superblock compiler at every CFI-block head, so the hot
-    /// instrumented regions compile on first execution instead of
-    /// after the warm-up threshold. Purely an optimization — detection
-    /// semantics are identical with or without it.
+    /// assertion block as a fused-superstep candidate, so the decoded
+    /// engine applies each whole block in one step. Purely an
+    /// optimization — detection semantics are identical with or
+    /// without it, and the slow engine ignores it.
     pub fn install_fast_path(&self, machine: &mut Machine) {
         machine.install_fused_regions(&self.assertion_ranges);
-        let heads: Vec<u16> = self.assertion_ranges.iter().map(|&(start, _)| start).collect();
-        machine.seed_superblocks(&heads);
     }
 
     /// Fractional size overhead of the instrumentation.

@@ -148,8 +148,8 @@ proptest! {
         };
 
         let (slow, _) = run(Engine::Slow, false);
-        let (fast, _) = run(Engine::Superblock, false);
-        let (fused, supersteps) = run(Engine::Superblock, true);
+        let (fast, _) = run(Engine::Decoded, false);
+        let (fused, supersteps) = run(Engine::Decoded, true);
         prop_assert_eq!(&slow, &fast, "predecoded engine diverged from slow engine");
         prop_assert_eq!(&slow, &fused, "fused superstep diverged from slow engine");
         // The parity above must not be vacuous: every generated program
