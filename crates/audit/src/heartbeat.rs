@@ -44,13 +44,10 @@ impl HeartbeatElement {
 pub struct HeartbeatConfig {
     /// Interval between heartbeat queries.
     pub interval: SimDuration,
-    /// Consecutive missed replies before a process is declared dead
-    /// and restarted.
-    pub miss_limit: u32,
 }
 
 impl Default for HeartbeatConfig {
     fn default() -> Self {
-        HeartbeatConfig { interval: SimDuration::from_secs(1), miss_limit: 3 }
+        HeartbeatConfig { interval: SimDuration::from_secs(1) }
     }
 }

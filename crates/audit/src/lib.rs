@@ -88,7 +88,7 @@ pub use finding::{
 };
 pub use heartbeat::{HeartbeatConfig, HeartbeatElement};
 pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope};
-pub use progress::{ProgressConfig, ProgressIndicator};
+pub use progress::ProgressIndicator;
 pub use ranged::RangeAudit;
 pub use scheduler::{AuditScheduler, PriorityScheduler, PriorityWeights, RoundRobinScheduler};
 pub use selective::{SelectiveConfig, SelectiveMonitor};

@@ -8,7 +8,7 @@ use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 use crate::budget::{BudgetConfig, TokenBucket};
 use crate::finding::{AuditElementKind, AuditReport, Finding, RecoveryAction};
 use crate::heartbeat::HeartbeatElement;
-use crate::progress::{ProgressConfig, ProgressIndicator};
+use crate::progress::ProgressIndicator;
 use crate::ranged::RangeAudit;
 use crate::scheduler::{AuditScheduler, RoundRobinScheduler};
 use crate::semantic::SemanticAudit;
@@ -51,10 +51,6 @@ pub struct AuditConfig {
     /// Interval of the periodic trigger (the experiments use 10 s for
     /// full audits and 5 s for one-table audits).
     pub periodic_interval: SimDuration,
-    /// Progress-indicator timings.
-    pub progress: ProgressConfig,
-    /// Consecutive damaged headers that escalate to a full reload.
-    pub structural_escalation: u32,
     /// Grace period before unlinked records are treated as orphans.
     pub orphan_grace: SimDuration,
     /// Per-tick coverage.
@@ -84,8 +80,6 @@ impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
             periodic_interval: SimDuration::from_secs(10),
-            progress: ProgressConfig::default(),
-            structural_escalation: 3,
             orphan_grace: SimDuration::from_secs(60),
             scope: AuditScope::Full,
             event_triggered: false,
@@ -111,7 +105,6 @@ pub struct AuditProcess {
     event_tables: BTreeSet<TableId>,
     catch_log: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     cycles: u64,
-    deferred: bool,
     bucket: Option<TokenBucket>,
     shed_backlog: Vec<TableId>,
     starved_for: std::collections::BTreeMap<TableId, u32>,
@@ -136,7 +129,7 @@ impl AuditProcess {
         let mut static_audit = StaticDataAudit::new(db);
         static_audit.incremental = config.incremental;
         static_audit.full_rescan_period = config.full_rescan_period;
-        let mut structural = StructuralAudit::new(config.structural_escalation);
+        let mut structural = StructuralAudit::new();
         structural.incremental = config.incremental;
         structural.full_rescan_period = config.full_rescan_period;
         let mut range = RangeAudit::new();
@@ -148,7 +141,7 @@ impl AuditProcess {
         AuditProcess {
             config,
             heartbeat: HeartbeatElement::new(),
-            progress: ProgressIndicator::new(config.progress),
+            progress: ProgressIndicator::default(),
             static_audit,
             structural,
             range,
@@ -158,7 +151,6 @@ impl AuditProcess {
             event_tables: BTreeSet::new(),
             catch_log: Vec::new(),
             cycles: 0,
-            deferred: false,
             bucket: config.budget.map(TokenBucket::new),
             shed_backlog: Vec::new(),
             starved_for: std::collections::BTreeMap::new(),
@@ -172,16 +164,10 @@ impl AuditProcess {
     /// [`FindingTarget`](crate::FindingTarget), and an external
     /// recovery engine owns repair, escalation and verification.
     pub fn set_deferred_repair(&mut self, deferred: bool) {
-        self.deferred = deferred;
         self.static_audit.deferred = deferred;
         self.structural.deferred = deferred;
         self.range.deferred = deferred;
         self.semantic.deferred = deferred;
-    }
-
-    /// Whether the data audits are in detect-only mode.
-    pub fn deferred_repair(&self) -> bool {
-        self.deferred
     }
 
     /// Re-runs one audit element over one table (or the full static

@@ -9,48 +9,29 @@
 //! terminates the client process holding the lock for greater than a
 //! predetermined threshold duration, thereby releasing the lock".
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::{DbEvent, LockTable};
 use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimTime};
 
 use crate::finding::{AuditElementKind, Finding, RecoveryAction};
 
-/// Timing parameters. The paper's defaults: clients should hold a lock
-/// for at most ~100 ms, while the progress timeout is much larger
-/// (~100 s) "in order to reduce runtime overhead".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProgressConfig {
-    /// Maximum tolerated lock-holding duration.
-    pub lock_threshold: SimDuration,
-    /// How long the activity counter may stay unchanged before recovery
-    /// triggers.
-    pub progress_timeout: SimDuration,
-}
+/// Longest a client may hold a lock before a progress timeout treats it
+/// as the wedged holder (§4.2: clients hold a lock for at most ~100 ms).
+const LOCK_THRESHOLD: SimDuration = SimDuration::from_millis(100);
 
-impl Default for ProgressConfig {
-    fn default() -> Self {
-        ProgressConfig {
-            lock_threshold: SimDuration::from_millis(100),
-            progress_timeout: SimDuration::from_secs(100),
-        }
-    }
-}
+/// How long the activity counter may stay unchanged before recovery
+/// triggers (§4.2: much larger than the lock threshold, ~100 s, "in
+/// order to reduce runtime overhead").
+const PROGRESS_TIMEOUT: SimDuration = SimDuration::from_secs(100);
 
 /// The progress-indicator element.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProgressIndicator {
-    config: ProgressConfig,
     counter: u64,
     last_change: SimTime,
     starved: u64,
 }
 
 impl ProgressIndicator {
-    /// Creates the element.
-    pub fn new(config: ProgressConfig) -> Self {
-        ProgressIndicator { config, counter: 0, last_change: SimTime::ZERO, starved: 0 }
-    }
-
     /// Messages observed so far.
     pub fn counter(&self) -> u64 {
         self.counter
@@ -92,7 +73,7 @@ impl ProgressIndicator {
     /// True when the counter has been still for longer than the
     /// progress timeout.
     pub fn timed_out(&self, now: SimTime) -> bool {
-        now.saturating_since(self.last_change) > self.config.progress_timeout
+        now.saturating_since(self.last_change) > PROGRESS_TIMEOUT
     }
 
     /// Runs the element: on timeout, terminates every client holding a
@@ -107,7 +88,7 @@ impl ProgressIndicator {
         if !self.timed_out(now) {
             return;
         }
-        let stale = locks.stale(now, self.config.lock_threshold);
+        let stale = locks.stale(now, LOCK_THRESHOLD);
         if stale.is_empty() {
             return;
         }
@@ -124,7 +105,7 @@ impl ProgressIndicator {
                 record: None,
                 detail: format!(
                     "no database activity for over {}; terminated {pid} and released {released} stale lock(s)",
-                    self.config.progress_timeout
+                    PROGRESS_TIMEOUT
                 ),
                 action: RecoveryAction::TerminatedClient { pid },
                 target: Some(crate::FindingTarget::Client { pid }),
@@ -157,7 +138,7 @@ mod tests {
 
     #[test]
     fn activity_resets_the_timer() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         p.observe(&event(SimTime::from_secs(50)));
         assert_eq!(p.counter(), 1);
         assert!(!p.timed_out(SimTime::from_secs(100)));
@@ -166,7 +147,7 @@ mod tests {
 
     #[test]
     fn wedged_lock_holder_is_terminated_and_lock_released() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let wedged = registry.spawn("client", SimTime::ZERO);
@@ -183,7 +164,7 @@ mod tests {
 
     #[test]
     fn no_recovery_while_activity_flows() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let pid = registry.spawn("client", SimTime::ZERO);
@@ -202,15 +183,11 @@ mod tests {
     #[test]
     fn lock_threshold_discriminates_stale_from_fresh_holders() {
         // The lock-threshold path proper: on a progress timeout, only
-        // the client holding its lock past `lock_threshold` is
+        // the client holding its lock past `LOCK_THRESHOLD` is
         // terminated, and its lock actually leaves the lock table; a
         // client whose lock is fresher than the threshold survives with
         // its lock intact.
-        let config = ProgressConfig {
-            lock_threshold: SimDuration::from_millis(100),
-            progress_timeout: SimDuration::from_secs(100),
-        };
-        let mut p = ProgressIndicator::new(config);
+        let mut p = ProgressIndicator::default();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let wedged = registry.spawn("wedged", SimTime::ZERO);
@@ -242,7 +219,7 @@ mod tests {
 
     #[test]
     fn note_activity_counts_like_an_observed_event() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         p.note_activity(SimTime::from_secs(50));
         assert_eq!(p.counter(), 1);
         assert!(!p.timed_out(SimTime::from_secs(100)));
@@ -251,7 +228,7 @@ mod tests {
 
     #[test]
     fn starvation_refreshes_the_watermark_without_inflating_the_counter() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         p.observe(&event(SimTime::from_secs(10)));
         assert_eq!(p.counter(), 1);
         // A storm starves the process of budget for 140 s, but it keeps
@@ -265,7 +242,7 @@ mod tests {
 
     #[test]
     fn timeout_without_stale_locks_is_benign() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let mut out = Vec::new();
@@ -275,7 +252,7 @@ mod tests {
 
     #[test]
     fn multiple_locks_one_offender_one_termination() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::default();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let pid = registry.spawn("client", SimTime::ZERO);

@@ -18,12 +18,15 @@ use wtnc_sim::SimTime;
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::genskip::GenSkip;
 
+/// Consecutive corrupted headers in one table that trigger the
+/// full-database reload (§4.3.2: "multiple consecutive corruptions in
+/// header fields"). Three, so two adjacent damaged headers are still
+/// rebuilt one by one rather than costing a reload.
+const ESCALATION_THRESHOLD: u32 = 3;
+
 /// The structural audit element.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StructuralAudit {
-    /// Consecutive corrupted headers that trigger the full-database
-    /// reload escalation.
-    escalation_threshold: u32,
     /// Detect-only mode: damaged headers are flagged (one finding per
     /// record, targeted at the header) instead of rebuilt, and the
     /// consecutive-damage escalation is left to the recovery engine's
@@ -38,23 +41,10 @@ pub struct StructuralAudit {
     skip: GenSkip,
 }
 
-impl Default for StructuralAudit {
-    fn default() -> Self {
-        Self::new(3)
-    }
-}
-
 impl StructuralAudit {
-    /// Creates the element. `escalation_threshold` consecutive damaged
-    /// headers in one table escalate to a full reload.
-    pub fn new(escalation_threshold: u32) -> Self {
-        StructuralAudit {
-            escalation_threshold: escalation_threshold.max(2),
-            deferred: false,
-            incremental: false,
-            full_rescan_period: 0,
-            skip: GenSkip::default(),
-        }
+    /// Creates the element.
+    pub fn new() -> Self {
+        StructuralAudit::default()
     }
 
     /// Audits one table's headers; returns the number of records
@@ -101,7 +91,7 @@ impl StructuralAudit {
             }
             damaged.push(index);
             consecutive += 1;
-            if consecutive >= self.escalation_threshold && !self.deferred {
+            if consecutive >= ESCALATION_THRESHOLD && !self.deferred {
                 // Misalignment suspected: reload everything.
                 db.reload_all();
                 let region_len = db.region_len();
@@ -251,7 +241,7 @@ mod tests {
     #[test]
     fn consecutive_damage_escalates_to_full_reload() {
         let mut d = db();
-        let mut audit = StructuralAudit::new(3);
+        let mut audit = StructuralAudit::new();
         // Smash three consecutive headers (misalignment pattern).
         for i in 0..3 {
             let base = d.record_offset(RecordRef::new(schema::PROCESS_TABLE, i)).unwrap();
@@ -276,7 +266,7 @@ mod tests {
     #[test]
     fn scattered_damage_repairs_individually() {
         let mut d = db();
-        let mut audit = StructuralAudit::new(3);
+        let mut audit = StructuralAudit::new();
         // Damage records 0, 2, 4 (not consecutive).
         for i in [0u32, 2, 4] {
             let base = d.record_offset(RecordRef::new(schema::PROCESS_TABLE, i)).unwrap();
@@ -286,11 +276,5 @@ mod tests {
         audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|f| matches!(f.action, RecoveryAction::RebuiltHeader { .. })));
-    }
-
-    #[test]
-    fn threshold_has_a_floor_of_two() {
-        let audit = StructuralAudit::new(0);
-        assert_eq!(audit.escalation_threshold, 2);
     }
 }

@@ -38,7 +38,7 @@ use wtnc_sim::{Pid, ProcessRegistry, ProcessState, SimDuration, SimTime};
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::heartbeat::{HeartbeatConfig, HeartbeatElement};
-use crate::progress::{ProgressConfig, ProgressIndicator};
+use crate::progress::ProgressIndicator;
 
 /// What kind of process a supervised pid is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,23 +67,28 @@ pub enum RestartCause {
     Storm,
 }
 
-/// Supervision thresholds. Probe cadence and miss limit are the §4.1
-/// heartbeat parameters; the global stall backstop reuses the §4.2
-/// progress parameters.
+/// Consecutive missed heartbeat replies before a process is condemned
+/// and restarted (§4.1: the manager "times out" on the audit process).
+/// At the default 1 s interval, three misses keep crash and hang
+/// detection within about 3 s, while a single late reply condemns no one.
+const MISS_LIMIT: u32 = 3;
+
+/// Restarts of one lineage within this window count toward a storm. A
+/// minute is four times the default 15 s livelock timeout, so even the
+/// slowest detection path can repeat inside one window.
+const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// Supervision thresholds. The probe cadence is the §4.1 heartbeat
+/// parameter; the global stall backstop is the §4.2 progress indicator
+/// with its fixed timings.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
-    /// Heartbeat probe interval and miss limit (§4.1). The caller is
-    /// expected to invoke [`Supervisor::tick`] once per interval.
+    /// Heartbeat probe interval (§4.1). The caller is expected to
+    /// invoke [`Supervisor::tick`] once per interval.
     pub heartbeat: HeartbeatConfig,
-    /// Global progress-indicator backstop (§4.2): counter-stall
-    /// timeout and stale-lock threshold.
-    pub progress: ProgressConfig,
     /// How long a *replying* process may go without database progress
     /// before it is condemned as livelocked.
     pub livelock_timeout: SimDuration,
-    /// Restarts of one lineage within this window count toward a
-    /// storm.
-    pub storm_window: SimDuration,
     /// Restarts inside the window at which the lineage is storming and
     /// the supervisor backs off instead of restarting again.
     pub storm_threshold: u32,
@@ -98,9 +103,7 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             heartbeat: HeartbeatConfig::default(),
-            progress: ProgressConfig::default(),
             livelock_timeout: SimDuration::from_secs(15),
-            storm_window: SimDuration::from_secs(60),
             storm_threshold: 3,
             backoff_base: SimDuration::from_secs(5),
             escalate_after_backoffs: 2,
@@ -277,7 +280,7 @@ impl Supervisor {
         Supervisor {
             config,
             procs: BTreeMap::new(),
-            progress: ProgressIndicator::new(config.progress),
+            progress: ProgressIndicator::default(),
             ledger: AvailabilityLedger::default(),
             events_seen: 0,
         }
@@ -457,7 +460,7 @@ impl Supervisor {
                 s.first_miss = Some(now);
             }
             s.misses += 1;
-            if s.misses < self.config.heartbeat.miss_limit {
+            if s.misses < MISS_LIMIT {
                 continue;
             }
             // Condemned: crashed (dead in the registry) or hung
@@ -568,7 +571,7 @@ impl Supervisor {
         if s.backoff_until.is_some_and(|until| now < until) {
             return;
         }
-        s.recent_restarts.retain(|&t| now.saturating_since(t) <= config.storm_window);
+        s.recent_restarts.retain(|&t| now.saturating_since(t) <= STORM_WINDOW);
         if s.recent_restarts.len() as u32 >= config.storm_threshold {
             // Storm: back off exponentially, then escalate.
             s.backoffs += 1;
@@ -601,7 +604,7 @@ impl Supervisor {
                 detail: format!(
                     "restart storm: {} restart(s) of {pid} within {}; backing off {backoff}",
                     s.recent_restarts.len(),
-                    config.storm_window
+                    STORM_WINDOW
                 ),
                 action: RecoveryAction::Flagged,
                 target: Some(FindingTarget::Client { pid }),
@@ -723,9 +726,7 @@ mod tests {
 
     fn fast_config() -> SupervisorConfig {
         SupervisorConfig {
-            heartbeat: HeartbeatConfig { interval: SimDuration::from_secs(1), miss_limit: 3 },
             livelock_timeout: SimDuration::from_secs(5),
-            storm_window: SimDuration::from_secs(60),
             storm_threshold: 2,
             backoff_base: SimDuration::from_secs(4),
             escalate_after_backoffs: 1,

@@ -72,7 +72,7 @@ fn run_once(
     workload: Workload,
     engine: Engine,
 ) -> (u64, u64, f64) {
-    let mut machine = Machine::load(program, MachineConfig { engine, ..Default::default() });
+    let mut machine = Machine::load(program, MachineConfig { engine });
     if engine != Engine::Slow {
         if let Some(m) = meta {
             m.install_fast_path(&mut machine);

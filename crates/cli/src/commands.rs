@@ -241,10 +241,8 @@ pub fn pecos(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let mut machine = Machine::load(
-        &inst.program,
-        MachineConfig { engine: engine.unwrap_or_default(), ..MachineConfig::default() },
-    );
+    let mut machine =
+        Machine::load(&inst.program, MachineConfig { engine: engine.unwrap_or_default() });
     inst.meta.install_fast_path(&mut machine);
     if let Some(which) = corrupt {
         let cfis: Vec<usize> = (0..inst.program.len())

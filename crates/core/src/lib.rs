@@ -272,7 +272,7 @@ impl Controller {
         store.sync(&mut self.db)?;
         let store_findings = store.storage_audit(&self.db)?;
         let durable_golden = store.durable_golden_detail()?;
-        let block = store.config().block_size.max(1);
+        let block = wtnc_db::DIRTY_BLOCK_SIZE;
         let mut findings = Vec::with_capacity(store_findings.len());
         for f in store_findings {
             let mut action = RecoveryAction::Flagged;
@@ -411,11 +411,6 @@ impl Controller {
     /// Whether an audit process is attached and alive.
     pub fn audit_alive(&self) -> bool {
         self.audit.as_ref().is_some_and(|(pid, _)| self.registry.is_alive(*pid))
-    }
-
-    /// The attached audit process, if any.
-    pub fn audit_mut(&mut self) -> Option<&mut AuditProcess> {
-        self.audit.as_mut().map(|(_, a)| a)
     }
 
     /// Runs one audit cycle at `now`, if the audit process is attached

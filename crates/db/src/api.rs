@@ -223,7 +223,6 @@ pub struct DbApi {
     connections: BTreeSet<Pid>,
     locks: LockTable,
     events: FairQueue<DbEvent>,
-    costs: ApiCosts,
     instrumented: bool,
     cost_accum: SimDuration,
     ops_performed: u64,
@@ -236,8 +235,8 @@ impl Default for DbApi {
 }
 
 impl DbApi {
-    /// Creates an API instance with audit instrumentation enabled,
-    /// default costs and the default event-queue sizing.
+    /// Creates an API instance with audit instrumentation enabled and
+    /// the default event-queue sizing.
     pub fn new() -> Self {
         Self::with_ipc(IpcConfig::default())
     }
@@ -253,25 +252,10 @@ impl DbApi {
             connections: BTreeSet::new(),
             locks: LockTable::new(),
             events: FairQueue::new(ipc.capacity, ipc.lane_capacity, ipc.retry_after),
-            costs: ApiCosts::default(),
             instrumented: true,
             cost_accum: SimDuration::ZERO,
             ops_performed: 0,
         }
-    }
-
-    /// Creates an API instance with the given total event-queue
-    /// capacity, keeping the default 4-lane fairness split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (see [`IpcConfig`]).
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Self::with_ipc(IpcConfig {
-            capacity,
-            lane_capacity: (capacity / 4).max(1),
-            ..IpcConfig::default()
-        })
     }
 
     /// Creates the "original" API with all audit instrumentation
@@ -280,16 +264,6 @@ impl DbApi {
         let mut api = Self::new();
         api.instrumented = false;
         api
-    }
-
-    /// Overrides the cost model.
-    pub fn set_costs(&mut self, costs: ApiCosts) {
-        self.costs = costs;
-    }
-
-    /// Whether audit instrumentation is active.
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
     }
 
     /// The event queue towards the audit process. The audit main
@@ -355,7 +329,7 @@ impl DbApi {
     }
 
     fn charge(&mut self, op: DbOp) {
-        self.cost_accum += self.costs.cost(op, self.instrumented);
+        self.cost_accum += ApiCosts::default().cost(op, self.instrumented);
         self.ops_performed += 1;
     }
 
@@ -1069,7 +1043,8 @@ mod tests {
 
     #[test]
     fn event_capacity_is_configurable() {
-        let api = DbApi::with_event_capacity(16);
+        let api =
+            DbApi::with_ipc(IpcConfig { capacity: 16, lane_capacity: 4, ..IpcConfig::default() });
         assert_eq!(api.events().capacity(), 16);
         assert_eq!(api.events().lane_capacity(), 4);
     }

@@ -90,6 +90,11 @@ impl ProcessFaultModel {
     }
 }
 
+/// Client work-transaction period: every period each healthy client
+/// advances its current call by one step. Well under the default 15 s
+/// livelock timeout, so a healthy client always shows progress in time.
+const WORK_PERIOD: SimDuration = SimDuration::from_secs(2);
+
 /// Configuration of one process-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProcessCampaignConfig {
@@ -97,9 +102,6 @@ pub struct ProcessCampaignConfig {
     pub duration: SimDuration,
     /// Mean fault inter-arrival time (exponential).
     pub fault_iat: SimDuration,
-    /// Client work-transaction period: every period each healthy
-    /// client advances its current call by one step.
-    pub work_period: SimDuration,
     /// Periodic audit-cycle interval.
     pub audit_period: SimDuration,
     /// Call-processing clients.
@@ -120,7 +122,6 @@ impl Default for ProcessCampaignConfig {
         ProcessCampaignConfig {
             duration: SimDuration::from_secs(600),
             fault_iat: SimDuration::from_secs(60),
-            work_period: SimDuration::from_secs(2),
             audit_period: SimDuration::from_secs(10),
             clients: 4,
             slots: 64,
@@ -254,7 +255,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
         .collect();
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    queue.schedule(SimTime::ZERO + config.work_period, Ev::WorkTick);
+    queue.schedule(SimTime::ZERO + WORK_PERIOD, Ev::WorkTick);
     queue.schedule(SimTime::ZERO + config.supervisor.heartbeat.interval, Ev::Supervise);
     queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
     queue.schedule(SimTime::ZERO + rng.exponential(config.fault_iat), Ev::Inject);
@@ -283,7 +284,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
                     step_call(w, &mut db, &mut api, now);
                     sup.note_progress(w.pid, now);
                 }
-                queue.schedule(now + config.work_period, Ev::WorkTick);
+                queue.schedule(now + WORK_PERIOD, Ev::WorkTick);
             }
             Ev::Supervise => {
                 let ledger_before = sup.ledger().restarts.len();

@@ -79,6 +79,12 @@ impl StormModel {
     }
 }
 
+/// When the single data corruption is planted. Deliberately *off* the
+/// default 5 s audit-period grid: latency then measures a realistic wait from
+/// mid-cycle, not the degenerate corrupt-then-immediately-audit
+/// alignment.
+const CORRUPT_AT: SimDuration = SimDuration::from_secs(32);
+
 /// Configuration of one storm-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StormCampaignConfig {
@@ -98,11 +104,6 @@ pub struct StormCampaignConfig {
     pub supervisor: SupervisorConfig,
     /// The storm traffic model.
     pub model: StormModel,
-    /// When the single data corruption is planted. Deliberately *off*
-    /// the audit-period grid: latency then measures a realistic wait
-    /// from mid-cycle, not the degenerate corrupt-then-immediately-
-    /// audit alignment.
-    pub corrupt_at: SimDuration,
     /// Resource isolation on/off: bounded fair IPC, audit CPU budget,
     /// starvation-aware supervision.
     pub isolation: bool,
@@ -120,7 +121,6 @@ impl Default for StormCampaignConfig {
             audit_period: SimDuration::from_secs(5),
             supervisor: SupervisorConfig::default(),
             model: StormModel::SuperProducer,
-            corrupt_at: SimDuration::from_secs(32),
             isolation: true,
             seed: 0x5708_4ABC,
         }
@@ -140,7 +140,7 @@ pub struct StormRunResult {
     pub detected: bool,
     /// Detection latency (corruption to published audit finding),
     /// virtual seconds. When undetected this is the honest *floor*
-    /// `duration - corrupt_at` (the true latency is at least this).
+    /// `duration - CORRUPT_AT` (the true latency is at least this).
     pub detection_latency_s: f64,
     /// Audit cycles that ran to completion.
     pub cycles_completed: u64,
@@ -326,7 +326,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
     queue.schedule(SimTime::ZERO + CLIENT_TICK, Ev::ClientTick);
     queue.schedule(SimTime::ZERO + config.supervisor.heartbeat.interval, Ev::Supervise);
     queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditStart);
-    queue.schedule(SimTime::ZERO + config.corrupt_at, Ev::Corrupt);
+    queue.schedule(SimTime::ZERO + CORRUPT_AT, Ev::Corrupt);
 
     let end_of_run = SimTime::ZERO + config.duration;
     let mut r = StormRunResult::default();

@@ -123,7 +123,7 @@ pub fn run_one(config: &TextCampaignConfig, seed: u64) -> RunOutcome {
         )
     });
 
-    let machine_cfg = MachineConfig { engine: config.engine, ..MachineConfig::default() };
+    let machine_cfg = MachineConfig { engine: config.engine };
     let mut machine = Machine::load(&program, machine_cfg);
     if machine.engine() != Engine::Slow {
         if let Some(m) = &meta {

@@ -45,8 +45,7 @@ fn warmed_assertion_block_observes_interior_injection() {
     // then continue. The stale Hot slot (and stale fused plan) must
     // not survive the store.
     let drive = |engine: Engine| {
-        let mut m =
-            Machine::load(&inst.program, MachineConfig { engine, ..MachineConfig::default() });
+        let mut m = Machine::load(&inst.program, MachineConfig { engine });
         if engine != Engine::Slow {
             inst.meta.install_fast_path(&mut m);
         }
@@ -181,7 +180,7 @@ proptest! {
         let load = |engine: Engine| {
             let mut m = Machine::load(
                 &inst.program,
-                MachineConfig { engine, ..MachineConfig::default() },
+                MachineConfig { engine },
             );
             if engine != Engine::Slow {
                 inst.meta.install_fast_path(&mut m);

@@ -286,8 +286,7 @@ impl DecodedCache {
     }
 
     /// The materialized table at `table`, building it on a miss.
-    /// `max_count` is [`MachineConfig::max_pckt_table`]
-    /// (crate::MachineConfig::max_pckt_table).
+    /// `max_count` is the machine's `MAX_PCKT_TABLE`.
     pub fn table(&mut self, text: &[u32], table: u16, max_count: u32) -> &TableEntry {
         if let Some(i) = self.tables.iter().position(|&(t, _)| t == table) {
             return &self.tables[i].1;

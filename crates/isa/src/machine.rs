@@ -61,15 +61,20 @@ impl Engine {
     }
 }
 
+/// Words of per-thread data memory (stack + locals). The stack pointer
+/// (`r15`) starts here and grows down. 4 096 words (32 KiB) per thread
+/// leaves the clients' shallow call chains ample stack.
+const DATA_WORDS: usize = 4_096;
+
+/// Largest PECOS target table: a stored count above this is treated as a
+/// failed assertion (a corrupted table), not as a table to scan. The
+/// instrumenter emits tables of a few entries, so a count this large can
+/// only come from a corrupted count word.
+const MAX_PCKT_TABLE: u32 = 1_024;
+
 /// Configuration for a [`Machine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MachineConfig {
-    /// Words of per-thread data memory (stack + locals). The stack
-    /// pointer (`r15`) starts here and grows down.
-    pub data_words: usize,
-    /// Maximum size of a PECOS target table; a stored count above this
-    /// is treated as a failed assertion (corrupted table).
-    pub max_pckt_table: u32,
     /// The execution engine ([`Engine::Decoded`] by default).
     #[serde(default)]
     pub engine: Engine,
@@ -80,12 +85,6 @@ impl MachineConfig {
     /// the end-to-end benchmark's header line reads it).
     pub fn effective_engine(&self) -> Engine {
         self.engine
-    }
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig { data_words: 4_096, max_pckt_table: 1_024, engine: Engine::default() }
     }
 }
 
@@ -209,7 +208,6 @@ struct Thread {
 pub struct Machine {
     text: Vec<u32>,
     threads: Vec<Thread>,
-    config: MachineConfig,
     engine: Engine,
     next: usize,
     total_steps: u64,
@@ -225,7 +223,6 @@ impl Machine {
             text: program.text.clone(),
             threads: Vec::new(),
             engine: config.effective_engine(),
-            config,
             next: 0,
             total_steps: 0,
             supersteps: 0,
@@ -236,11 +233,11 @@ impl Machine {
     /// memory; returns its id.
     pub fn spawn_thread(&mut self, entry: u16) -> ThreadId {
         let mut regs = [0u64; 16];
-        regs[15] = self.config.data_words as u64; // stack grows down
+        regs[15] = DATA_WORDS as u64; // stack grows down
         self.threads.push(Thread {
             regs,
             pc: entry,
-            data: vec![0; self.config.data_words],
+            data: vec![0; DATA_WORDS],
             state: ThreadState::Runnable,
             steps: 0,
         });
@@ -300,11 +297,6 @@ impl Machine {
     /// memory images across engines.
     pub fn data(&self, t: ThreadId) -> Option<&[u64]> {
         Some(&self.threads.get(t)?.data)
-    }
-
-    /// Number of spawned threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
     }
 
     /// State of a thread.
@@ -563,7 +555,7 @@ impl Machine {
             }
             FusedPlan::StackTable { table } => {
                 let sp = self.threads[tid].regs[15];
-                if sp as i64 >= self.config.data_words as i64 || (sp as i64) < 0 {
+                if sp as i64 >= DATA_WORDS as i64 || (sp as i64) < 0 {
                     return None; // the block's `ld` would memory-fault
                 }
                 let value = self.threads[tid].data[sp as usize];
@@ -597,7 +589,7 @@ impl Machine {
     /// table itself is faulty in a way whose exception the slow path
     /// must raise (so the superstep bails out).
     fn table_pass(&mut self, table: u16, value: u32) -> Option<bool> {
-        let entry = self.cache.table(&self.text, table, self.config.max_pckt_table);
+        let entry = self.cache.table(&self.text, table, MAX_PCKT_TABLE);
         match &entry.result {
             Ok(words) => Some(words.binary_search(&value).is_ok()),
             // A corrupted count is a failed assertion (divide-by-zero
@@ -620,7 +612,7 @@ impl Machine {
         inst: Inst,
         sys: &mut dyn SyscallHandler,
     ) -> Result<(), ExceptionKind> {
-        let data_words = self.config.data_words as i64;
+        let data_words = DATA_WORDS as i64;
         let next_pc = pc.wrapping_add(1);
         // Helper closures cannot borrow self twice; work on the thread
         // via index.
@@ -783,7 +775,7 @@ impl Machine {
                 if self.engine != Engine::Slow {
                     // Binary search over the materialized sorted table;
                     // build-time faults were cached in slow-path order.
-                    let entry = self.cache.table(&self.text, table, self.config.max_pckt_table);
+                    let entry = self.cache.table(&self.text, table, MAX_PCKT_TABLE);
                     match &entry.result {
                         Err(kind) => return Err(*kind),
                         Ok(words) => {
@@ -796,7 +788,7 @@ impl Machine {
                     let Some(&count) = self.text.get(table as usize) else {
                         return Err(ExceptionKind::TextFault { addr: table as u32 });
                     };
-                    if count > self.config.max_pckt_table {
+                    if count > MAX_PCKT_TABLE {
                         // A corrupted table counts as a failed assertion.
                         return Err(ExceptionKind::DivideByZero);
                     }
@@ -867,7 +859,7 @@ mod tests {
         assert_eq!(m.thread_state(t), ThreadState::Halted);
         assert_eq!(m.reg(t, 1), Some(12));
         // Stack pointer restored.
-        assert_eq!(m.reg(t, 15), Some(MachineConfig::default().data_words as u64));
+        assert_eq!(m.reg(t, 15), Some(DATA_WORDS as u64));
     }
 
     #[test]
@@ -1081,7 +1073,7 @@ mod tests {
         let budgets = [1u64, 2, 3, 5, 7, 16, 31, 4, 9];
         for threads in [1usize, 2] {
             let drive = |engine: Engine| {
-                let mut m = Machine::load(&p, MachineConfig { engine, ..MachineConfig::default() });
+                let mut m = Machine::load(&p, MachineConfig { engine });
                 for _ in 0..threads {
                     m.spawn_thread(0);
                 }
@@ -1108,7 +1100,7 @@ mod tests {
     fn engine_parse_names_and_default() {
         for engine in Engine::ALL {
             assert_eq!(Engine::parse(engine.name()), Some(engine));
-            let config = MachineConfig { engine, ..Default::default() };
+            let config = MachineConfig { engine };
             assert_eq!(config.effective_engine(), engine);
         }
         assert_eq!(Engine::parse("warp"), None);

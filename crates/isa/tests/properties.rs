@@ -117,7 +117,7 @@ proptest! {
         let program =
             Program { text, symbols: std::collections::BTreeMap::new(), entry: 0 };
         let mk = |engine: Engine| {
-            let mut m = Machine::load(&program, MachineConfig { engine, ..MachineConfig::default() });
+            let mut m = Machine::load(&program, MachineConfig { engine });
             for _ in 0..threads {
                 m.spawn_thread(program.entry);
             }

@@ -131,7 +131,7 @@ proptest! {
 
         let run = |engine: Engine, fused: bool| {
             let mut m =
-                Machine::load(&inst.program, MachineConfig { engine, ..MachineConfig::default() });
+                Machine::load(&inst.program, MachineConfig { engine });
             if fused {
                 inst.meta.install_fast_path(&mut m);
             }

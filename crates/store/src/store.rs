@@ -38,16 +38,14 @@ use crate::merkle::{verify_proof, MerkleTree, SplitContent};
 /// deterministic.
 pub const DEFAULT_KEY: [u8; 16] = *b"wtnc-store-mac-k";
 
-/// Store tuning: the MAC key, the content block size used for the
-/// Merkle leaves, and the full-image checkpoint period.
+/// Store tuning: the MAC key and the full-image checkpoint period.
+/// Checkpoint Merkle leaves are [`DIRTY_BLOCK_SIZE`] bytes, the audit
+/// dirty-tracker block size, so disk blocks line up with in-memory CRC
+/// blocks; each image header still records its block size.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// 128-bit key for the keyed integrity codes and chain digests.
     pub key: [u8; 16],
-    /// Content block size for the checkpoint Merkle leaves. Defaults
-    /// to the audit dirty-tracker block size so disk blocks line up
-    /// with in-memory CRC blocks.
-    pub block_size: usize,
     /// Cut a full image every `full_every`-th checkpoint and dirty
     /// deltas in between. `1` (the default) writes a full image every
     /// time — the v1 behavior.
@@ -56,7 +54,7 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { key: DEFAULT_KEY, block_size: DIRTY_BLOCK_SIZE, full_every: 1 }
+        StoreConfig { key: DEFAULT_KEY, full_every: 1 }
     }
 }
 
@@ -492,11 +490,6 @@ impl Store {
         &self.dir
     }
 
-    /// The configuration this store was opened with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
     /// Number of valid journal records (on disk + appended).
     pub fn journal_records(&self) -> u64 {
         self.journal_records
@@ -616,16 +609,16 @@ impl Store {
             && self.since_full + 1 < self.config.full_every
             && tracker.n_blocks() == content_len.div_ceil(tracker.block_size())
             && self.tree.as_ref().is_some_and(|t| {
-                t.block_size() == self.config.block_size
-                    && t.leaf_count() == content_len.div_ceil(self.config.block_size)
+                t.block_size() == DIRTY_BLOCK_SIZE
+                    && t.leaf_count() == content_len.div_ceil(DIRTY_BLOCK_SIZE)
             });
 
         let (bytes, file_name, kind) = if write_delta {
-            let leaf_count = content_len.div_ceil(self.config.block_size);
+            let leaf_count = content_len.div_ceil(DIRTY_BLOCK_SIZE);
             let mut dirty: Vec<usize> = Vec::new();
             for i in 0..leaf_count {
-                let start = i * self.config.block_size;
-                let len = (content_len - start).min(self.config.block_size);
+                let start = i * DIRTY_BLOCK_SIZE;
+                let len = (content_len - start).min(DIRTY_BLOCK_SIZE);
                 if tracker.any_dirty_in(start, len) {
                     dirty.push(i);
                 }
@@ -638,7 +631,7 @@ impl Store {
                 gen,
                 prev,
                 self.lineage_base,
-                self.config.block_size,
+                DIRTY_BLOCK_SIZE,
                 &dirty,
                 &updates,
                 &self.config.key,
@@ -650,7 +643,7 @@ impl Store {
                 db.golden(),
                 gen,
                 prev,
-                self.config.block_size,
+                DIRTY_BLOCK_SIZE,
                 &self.config.key,
             );
             self.tree = Some(tree);
@@ -1004,7 +997,7 @@ impl Store {
         let Some(cache) = self.golden_cache.as_mut() else {
             return Ok(None);
         };
-        let block = self.config.block_size.max(1);
+        let block = DIRTY_BLOCK_SIZE;
         let attested = &mut cache.attested;
         overlay_golden_commits(
             &self.journal_cache[cache.applied..],
@@ -1033,7 +1026,7 @@ impl Store {
             return Ok(None);
         }
         let region_len = img.region.len();
-        let block = self.config.block_size.max(1);
+        let block = DIRTY_BLOCK_SIZE;
         let n_blocks = img.golden.len().div_ceil(block);
         let content = SplitContent::new(&img.region, &img.golden);
         let leaf_count = img.tree.leaf_count();
@@ -1101,7 +1094,7 @@ impl Store {
             });
             return Ok(findings);
         }
-        let block = self.config.block_size.max(1);
+        let block = DIRTY_BLOCK_SIZE;
         for (i, (disk, ram)) in durable.chunks(block).zip(mem.chunks(block)).enumerate() {
             if crc32(disk) != crc32(ram) {
                 findings.push(StoreFinding {

@@ -439,7 +439,7 @@ fn durable_golden_carries_journaled_golden_commits_forward() {
     store.attach(&mut db);
     mutate(&mut db, 4, 1);
     let gen = store.checkpoint(&mut db).expect("checkpoint");
-    let block = StoreConfig::default().block_size;
+    let block = wtnc_db::DIRTY_BLOCK_SIZE;
     let n_blocks = db.golden().len().div_ceil(block);
     assert!(n_blocks >= 2, "the test needs two golden blocks");
 
